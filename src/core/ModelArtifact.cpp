@@ -74,45 +74,6 @@ Json OpproxArtifact::toJson() const {
   Out.set("provenance", std::move(Prov));
 
   Out.set("model", Model.toJson());
-  if (!BudgetGrids.empty()) {
-    // Optional since schema 1.2: precomputed per-class budget sweeps.
-    Json Grids = Json::array();
-    for (const BudgetGrid &Grid : BudgetGrids)
-      Grids.push(Grid.toJson());
-    Out.set("budget_grids", std::move(Grids));
-  }
-  return Out;
-}
-
-/// Parses the optional 1.2 "budget_grids" section. Unlike every other
-/// section, malformed grids degrade to "no grids" instead of failing the
-/// load: grids only accelerate lookups the miss path serves correctly
-/// anyway, so refusing a model over a bad acceleration table would trade
-/// availability for nothing.
-static std::vector<BudgetGrid> readBudgetGrids(const Json &Value) {
-  const Json *Grids = Value.find("budget_grids");
-  if (!Grids)
-    return {};
-  Counter &LoadErrors =
-      MetricsRegistry::global().counter("cache.grid_load_errors");
-  if (!Grids->isArray()) {
-    LoadErrors.add();
-    logInfo("artifact budget_grids section is not an array; continuing "
-            "without precomputed grids");
-    return {};
-  }
-  std::vector<BudgetGrid> Out;
-  for (size_t I = 0; I < Grids->size(); ++I) {
-    Expected<BudgetGrid> Grid = BudgetGrid::fromJson(Grids->at(I));
-    if (!Grid) {
-      LoadErrors.add();
-      logInfo("artifact budget grid %zu is malformed (%s); continuing "
-              "without precomputed grids",
-              I, Grid.error().message().c_str());
-      return {};
-    }
-    Out.push_back(std::move(*Grid));
-  }
   return Out;
 }
 
@@ -197,7 +158,6 @@ Expected<OpproxArtifact> OpproxArtifact::fromJson(const Json &Value) {
   Artifact.MaxLevels = std::move(*MaxLevels);
   Artifact.DefaultInput = std::move(*DefaultInput);
   Artifact.Model = std::move(*Model);
-  Artifact.BudgetGrids = readBudgetGrids(Value);
   Artifact.Provenance.LibraryVersion = std::move(*LibraryVersion);
   Artifact.Provenance.ProfileSeed = *ProfileSeed;
   Artifact.Provenance.ModelSeed = *ModelSeed;

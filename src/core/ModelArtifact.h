@@ -24,7 +24,6 @@
 #define OPPROX_CORE_MODELARTIFACT_H
 
 #include "core/AppModel.h"
-#include "core/BudgetGrid.h"
 #include "support/Error.h"
 #include "support/Retry.h"
 #include "support/Telemetry.h"
@@ -66,7 +65,8 @@ struct ArtifactProvenance {
 struct OpproxArtifact {
   /// Readers reject a different major; minor bumps stay readable.
   /// 1.1 added the optional provenance "training_metrics" object;
-  /// 1.2 added the optional "budget_grids" precomputed sweeps.
+  /// 1.2's "budget_grids" section is ignored on read and no longer
+  /// written.
   static constexpr long SchemaMajor = 1;
   static constexpr long SchemaMinor = 2;
 
@@ -82,13 +82,6 @@ struct OpproxArtifact {
   std::vector<double> DefaultInput;
   /// The trained per-(class, phase) model stack.
   AppModel Model;
-  /// Optional (schema 1.2) precomputed budget-grid sweeps, one per
-  /// control-flow class the trainer could reach. Empty on 1.0/1.1
-  /// artifacts and when training ran without --budget-grid. A corrupt
-  /// grid section degrades to empty (counted in cache.grid_load_errors)
-  /// rather than failing the load -- grids are an acceleration, never a
-  /// correctness dependency.
-  std::vector<BudgetGrid> BudgetGrids;
   ArtifactProvenance Provenance;
 
   size_t numPhases() const { return Model.numPhases(); }

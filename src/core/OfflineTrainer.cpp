@@ -55,21 +55,6 @@ OfflineTrainer::Result OfflineTrainer::train(const ApproxApp &App,
     R.Artifact.Model = ModelBuilder::build(R.Data, NumPhases, App.numBlocks(),
                                            Opts.ModelBuild);
   }
-  if (Opts.BudgetGrid.Enabled) {
-    // Schema 1.2: solve the common-budget sweep per control-flow class
-    // now so serving resolves those budgets by lookup. Each point is the
-    // same Algorithm-2 search the runtime's miss path runs, which is
-    // what makes grid hits bit-identical.
-    TraceSpan Span("train.budget_grid", "train");
-    R.Artifact.BudgetGrids =
-        computeBudgetGrids(R.Artifact.Model, R.Artifact.MaxLevels,
-                           R.Artifact.DefaultInput, Inputs, Opts.BudgetGrid);
-    size_t Points = 0;
-    for (const BudgetGrid &Grid : R.Artifact.BudgetGrids)
-      Points += Grid.Points.size();
-    logDebug("budget-grid sweep stored %zu points across %zu classes",
-             Points, R.Artifact.BudgetGrids.size());
-  }
 
   R.Artifact.Provenance.LibraryVersion = opproxVersion();
   R.Artifact.Provenance.ProfileSeed = Opts.Profiling.Seed;

@@ -34,7 +34,6 @@
 #define OPPROX_CORE_OPPROX_H
 
 #include "core/AppModel.h"
-#include "core/BudgetGrid.h"
 #include "core/Evaluator.h"
 #include "core/Optimizer.h"
 #include "core/OpproxRuntime.h"
@@ -61,10 +60,6 @@ struct OpproxTrainOptions {
   /// Training inputs; empty uses the application's own representative
   /// set.
   std::vector<std::vector<double>> TrainingInputs;
-  /// Precomputed budget-grid sweep (schema 1.2, opprox-train
-  /// --budget-grid). Off by default: each grid point costs one full
-  /// Algorithm-2 solve per control-flow class at training time.
-  BudgetGridOptions BudgetGrid;
 };
 
 /// A trained OPPROX instance for one application.

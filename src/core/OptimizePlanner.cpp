@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/OptimizePlanner.h"
-#include "core/BudgetGrid.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -19,13 +20,17 @@ using namespace opprox;
 /// >= 0, so negative-entry keys can never collide with result keys.
 static constexpr int kUnclassified = -1;
 
+/// Parses an unsigned decimal environment value. strtoull accepts a
+/// sign (and wraps "-1" to ULLONG_MAX) and saturates on overflow, so
+/// anything but plain digits in range is rejected.
 static std::optional<size_t> envSize(const char *Name) {
   const char *Value = std::getenv(Name);
-  if (!Value || !*Value)
+  if (!Value || !std::isdigit(static_cast<unsigned char>(*Value)))
     return std::nullopt;
   char *End = nullptr;
+  errno = 0;
   unsigned long long Parsed = std::strtoull(Value, &End, 10);
-  if (End == Value || *End != '\0')
+  if (*End != '\0' || errno == ERANGE)
     return std::nullopt;
   return static_cast<size_t>(Parsed);
 }
@@ -69,14 +74,13 @@ OptimizePlanner::lookupOrCompute(const OpproxArtifact &Art, int ClassId,
   Clock::time_point LookupStart;
   if (Stages)
     LookupStart = Clock::now();
-  auto finishLookup = [&](bool CacheHit, bool GridHit) {
+  auto finishLookup = [&](bool CacheHit) {
     if (!Stages)
       return;
     Stages->LookupMs =
         std::chrono::duration<double, std::milli>(Clock::now() - LookupStart)
             .count();
     Stages->CacheHit = CacheHit;
-    Stages->GridHit = GridHit;
   };
 
   ScheduleCache::Key Key;
@@ -84,21 +88,11 @@ OptimizePlanner::lookupOrCompute(const OpproxArtifact &Art, int ClassId,
     Key = ScheduleCache::makeKey(ClassId, Input, QosBudget, Opts, FirstPhase);
     if (std::optional<ScheduleCache::CachedValue> Hit = Cache->lookup(Key))
       if (!Hit->Negative) {
-        finishLookup(/*CacheHit=*/true, /*GridHit=*/false);
+        finishLookup(/*CacheHit=*/true);
         return std::move(Hit->Result);
       }
   }
-  // Budget grids precompute full-schedule solves; a tail re-solve can
-  // only be answered by the cache or the compute layer.
-  if (this->Opts.UseGrids && FirstPhase == 0)
-    if (const OptimizationResult *Grid =
-            findGridResult(Art.BudgetGrids, ClassId, Input, QosBudget, Opts)) {
-      if (Cache)
-        Cache->insert(Key, *Grid);
-      finishLookup(/*CacheHit=*/false, /*GridHit=*/true);
-      return *Grid;
-    }
-  finishLookup(/*CacheHit=*/false, /*GridHit=*/false);
+  finishLookup(/*CacheHit=*/false);
 
   Clock::time_point ComputeStart;
   if (Stages)

@@ -16,11 +16,11 @@
 ///     control-flow class, the raw input/budget bits, and the
 ///     decision-relevant options.
 ///  2. **Lookup**: consult the sharded ScheduleCache (positive and
-///     negative entries), then the artifact's precomputed budget grids.
+///     negative entries).
 ///  3. **Compute**: fall through to the existing pruned/batched
 ///     Algorithm-2 search, and memoize the result.
 ///
-/// The contract is bit-identity: a result served from any layer is
+/// The contract is bit-identity: a result served from the cache is
 /// byte-for-byte what the compute layer would have produced for the
 /// same request (proven by OptimizerEquivalenceTests). Results whose
 /// solve degraded (non-empty DegradedPhases) are never cached, so a
@@ -41,8 +41,6 @@ struct PlannerOptions {
   /// False disables the schedule cache entirely: no lookups, no
   /// insertions, no cache.* traffic (--no-cache / OPPROX_CACHE_DISABLE).
   bool UseCache = true;
-  /// False ignores the artifact's precomputed budget grids.
-  bool UseGrids = true;
   /// Executors for the compute layer's chunked scan: 1 = serial (the
   /// default -- cache-miss solves run inline on the calling thread),
   /// 0 = auto-detect (OPPROX_THREADS, else hardware concurrency), N =
@@ -65,10 +63,9 @@ PlannerOptions plannerOptionsFromEnv();
 /// zero extra clock reads when nobody is watching: with a null pointer
 /// the planner takes no timestamps at all.
 struct PlannerStageBreakdown {
-  double LookupMs = 0.0;  ///< Key building + cache probe + grid probe.
+  double LookupMs = 0.0;  ///< Key building + cache probe.
   double ComputeMs = 0.0; ///< Full Algorithm-2 solve + memoization.
   bool CacheHit = false;  ///< Served from the schedule cache.
-  bool GridHit = false;   ///< Served from a precomputed budget grid.
 };
 
 /// The plan -> lookup -> compute pipeline for one artifact's requests.
@@ -107,10 +104,9 @@ public:
   /// executed pinned to the exact configuration. Same plan/lookup/
   /// compute pipeline as optimize() -- tail results are memoized under
   /// keys that include FirstPhase, so a controller replaying the same
-  /// feedback stream hits the cache and stays bit-deterministic -- but
-  /// the budget-grid layer is skipped for FirstPhase > 0 (grids
-  /// precompute full-schedule solves only). FirstPhase == 0 is exactly
-  /// optimize(); FirstPhase >= numPhases is rejected as an Error.
+  /// feedback stream hits the cache and stays bit-deterministic.
+  /// FirstPhase == 0 is exactly optimize(); FirstPhase >= numPhases is
+  /// rejected as an Error.
   Expected<OptimizationResult>
   optimizeTail(const OpproxArtifact &Art, const std::vector<double> &Input,
                double QosBudget, size_t FirstPhase,
@@ -128,8 +124,7 @@ public:
   const PlannerOptions &options() const { return Opts; }
 
 private:
-  /// Lookup + compute for a validated request: cache, then grids (full
-  /// solves only -- FirstPhase must be 0 for a grid hit), then the
+  /// Lookup + compute for a validated request: cache, then the
   /// (possibly tail-restricted) solve. \p Stages (nullable) receives the
   /// layer timings.
   OptimizationResult lookupOrCompute(const OpproxArtifact &Art, int ClassId,

@@ -6,6 +6,7 @@
 
 #include "core/ScheduleCache.h"
 #include "support/Telemetry.h"
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -74,7 +75,10 @@ ScheduleCache::Key ScheduleCache::makeKey(int ClassId,
 
 ScheduleCache::ScheduleCache(const ScheduleCacheOptions &Opts)
     : TotalCapacity(Opts.Capacity) {
-  size_t NumShards = Opts.Shards == 0 ? 1 : Opts.Shards;
+  // At most one shard per entry: each shard holds at least one entry,
+  // so more shards than Capacity would hold more than Capacity entries.
+  size_t NumShards = std::clamp<size_t>(
+      Opts.Shards, 1, std::max<size_t>(1, TotalCapacity));
   Shards.reserve(NumShards);
   for (size_t S = 0; S < NumShards; ++S)
     Shards.push_back(std::make_unique<Shard>());

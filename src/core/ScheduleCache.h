@@ -41,7 +41,8 @@ namespace opprox {
 struct ScheduleCacheOptions {
   /// Independently-locked shards. More shards reduce lock contention
   /// between serving threads; the bit-identity contract holds for any
-  /// count (OPPROX_CACHE_SHARDS / --cache-shards).
+  /// count (OPPROX_CACHE_SHARDS / --cache-shards). Clamped to
+  /// [1, max(1, Capacity)] so Capacity bounds the total entry count.
   size_t Shards = 8;
   /// Total entries across all shards, positive and negative together.
   /// 0 disables insertion entirely, turning every lookup into a miss

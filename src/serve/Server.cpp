@@ -352,7 +352,6 @@ bool Server::Impl::handleLine(Conn &C, const std::string &Line, Shard &S,
       Span.arg("compute_ms", PB.ComputeMs);
       Span.arg("serialize_ms", SerializeMs);
       Span.arg("cache_hit", PB.CacheHit ? 1.0 : 0.0);
-      Span.arg("grid_hit", PB.GridHit ? 1.0 : 0.0);
     }
     if (S.Sampler) {
       StageSample Sample;

@@ -133,7 +133,6 @@ Json serve::cacheStatsJson() {
   Cache.set("misses", Registry.counter("cache.misses").value());
   Cache.set("negative_hits", Registry.counter("cache.negative_hits").value());
   Cache.set("evictions", Registry.counter("cache.evictions").value());
-  Cache.set("grid_hits", Registry.counter("cache.grid_hits").value());
   Json Out = Json::object();
   Out.set("cache", std::move(Cache));
   return Out;

@@ -122,7 +122,7 @@ Json optimizationResultJson(const OpproxArtifact &Artifact, double Budget,
 
 /// The process-wide schedule-cache counter rollup embedded in every
 /// `"stats": true` response (and usable standalone): {"cache": {"hits",
-/// "misses", "negative_hits", "evictions", "grid_hits"}}.
+/// "misses", "negative_hits", "evictions"}}.
 Json cacheStatsJson();
 
 /// Builds the success response envelope around a result document.

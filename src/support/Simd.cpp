@@ -5,16 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Simd.h"
-#include "support/Log.h"
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
-#if !defined(OPPROX_DISABLE_SIMD) && (defined(__x86_64__) || defined(__i386__))
+#if defined(__x86_64__) || defined(__i386__)
 #define OPPROX_SIMD_HAVE_AVX2 1
 #include <immintrin.h>
 #endif
-#if !defined(OPPROX_DISABLE_SIMD) && defined(__aarch64__)
+#if defined(__aarch64__)
 #define OPPROX_SIMD_HAVE_NEON 1
 #include <arm_neon.h>
 #endif
@@ -166,30 +163,6 @@ void standardizeNeon(double *Dst, const double *Src, double Mean, double Scale,
 // Tier resolution and dispatch.
 //===----------------------------------------------------------------------===//
 
-/// Parses OPPROX_SIMD. Unset/empty/"auto" -> no override; unknown values
-/// are reported once and ignored.
-bool parseRequestedTier(Tier &Out) {
-  const char *Env = std::getenv("OPPROX_SIMD");
-  if (!Env || !*Env || std::strcmp(Env, "auto") == 0)
-    return false;
-  if (std::strcmp(Env, "generic") == 0) {
-    Out = Tier::Generic;
-    return true;
-  }
-  if (std::strcmp(Env, "avx2") == 0) {
-    Out = Tier::Avx2;
-    return true;
-  }
-  if (std::strcmp(Env, "neon") == 0) {
-    Out = Tier::Neon;
-    return true;
-  }
-  logInfo("ignoring unknown OPPROX_SIMD value '%s' "
-          "(expected auto|generic|avx2|neon)",
-          Env);
-  return false;
-}
-
 Tier detectBestTier() {
 #ifdef OPPROX_SIMD_HAVE_AVX2
   if (__builtin_cpu_supports("avx2"))
@@ -199,19 +172,6 @@ Tier detectBestTier() {
   return Tier::Neon;
 #endif
   return Tier::Generic;
-}
-
-Tier resolveInitialTier() {
-  Tier Requested;
-  if (parseRequestedTier(Requested)) {
-    if (simd::tierSupported(Requested))
-      return Requested;
-    logInfo("OPPROX_SIMD=%s is not available on this build/CPU; using "
-            "generic kernels",
-            simd::tierName(Requested));
-    return Tier::Generic;
-  }
-  return detectBestTier();
 }
 
 /// The installed tier, lazily resolved. -1 means "not yet resolved";
@@ -243,7 +203,7 @@ bool simd::tierSupported(Tier T) {
 Tier simd::activeTier() {
   int T = ActiveTier.load(std::memory_order_relaxed);
   if (T < 0) {
-    T = static_cast<int>(resolveInitialTier());
+    T = static_cast<int>(detectBestTier());
     ActiveTier.store(T, std::memory_order_relaxed);
   }
   return static_cast<Tier>(T);

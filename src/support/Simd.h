@@ -16,10 +16,7 @@
 /// proves generic and specialized scans return identical bits.
 ///
 /// Tier selection: the best tier the CPU supports is picked once at
-/// first use; `OPPROX_SIMD=auto|generic|avx2|neon` overrides it (an
-/// unsupported request falls back to generic with a log line), and a
-/// `-DOPPROX_DISABLE_SIMD` build compiles the specializations out
-/// entirely. The active tier is exported to telemetry as
+/// first use. The active tier is exported to telemetry as
 /// `optimize.simd_tier` and into bench output.
 ///
 //===----------------------------------------------------------------------===//
@@ -41,8 +38,8 @@ enum class Tier : int {
 };
 
 /// The tier every kernel currently dispatches to. Resolved on first use
-/// from CPU capability and OPPROX_SIMD; stable afterwards unless
-/// setActiveTier() intervenes.
+/// from CPU capability; stable afterwards unless setActiveTier()
+/// intervenes.
 Tier activeTier();
 
 /// Forces the dispatch tier (equivalence tests pin Generic and diff the

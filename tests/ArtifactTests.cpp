@@ -16,7 +16,8 @@
 #include "core/Opprox.h"
 #include "core/OpproxRuntime.h"
 #include "support/Json.h"
-#include "support/Telemetry.h"
+#include "support/StringUtils.h"
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -265,94 +266,123 @@ TEST(ArtifactTest, ProvenanceRecordsTrainingConfiguration) {
 }
 
 //===----------------------------------------------------------------------===//
-// Schema 1.2: precomputed budget grids
+// Older artifacts: the schema-1.2 budget_grids section
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Trains pso with the budget-grid sweep enabled over a short budget
-/// list; the resulting artifact carries the schema-1.2 section.
-OpproxArtifact trainGriddedArtifact() {
-  auto App = createApp("pso");
-  OpproxTrainOptions Opts = cheapOptions("pso");
-  Opts.BudgetGrid.Enabled = true;
-  Opts.BudgetGrid.Budgets = {2.0, 10.0, 25.0};
-  return std::move(OfflineTrainer::train(*App, Opts).Artifact);
+/// A "budget_grids" section in the layout 1.2 builds wrote: one grid for
+/// the default input's class, holding one point at budget 10, written
+/// by hand. Its stored result is deliberately not what Algorithm 2
+/// returns (an all-exact schedule that scored nothing), so a reader
+/// that still served grid points would fail the comparison below.
+Json handWrittenGridSection(const OpproxArtifact &Art) {
+  std::vector<int> Exact(Art.numBlocks(), 0);
+  Json Decisions = Json::array();
+  for (size_t P = 0; P < Art.numPhases(); ++P) {
+    Json Decision = Json::object();
+    Decision.set("levels", Json::numberArray(Exact));
+    Decision.set("predicted_speedup", 1.0);
+    Decision.set("predicted_qos", 0.0);
+    Decision.set("allocated_budget", 10.0);
+    Decisions.push(std::move(Decision));
+  }
+  Json Result = Json::object();
+  Result.set("schedule",
+             PhaseSchedule(Art.numPhases(), Art.numBlocks()).toJson());
+  Result.set("decisions", std::move(Decisions));
+  Result.set("normalized_roi", Json::numberArray(std::vector<double>(
+                                   Art.numPhases(), 1.0 / Art.numPhases())));
+  Result.set("degraded_phases", Json::array());
+  Result.set("configs_evaluated", 0);
+  Result.set("configs_pruned", 0);
+  Result.set("configs_scored", 0);
+
+  Json Point = Json::object();
+  Point.set("budget", 10.0);
+  Point.set("result", std::move(Result));
+  Json Points = Json::array();
+  Points.push(std::move(Point));
+
+  Json Grid = Json::object();
+  Grid.set("class_id", static_cast<long>(Art.Model.classOf(Art.DefaultInput)));
+  Grid.set("input", Json::numberArray(Art.DefaultInput));
+  Grid.set("confidence_p", 0.99);
+  Grid.set("conservative", true);
+  Grid.set("points", std::move(Points));
+  Json Section = Json::array();
+  Section.push(std::move(Grid));
+  return Section;
+}
+
+/// Every field of \p R with doubles as raw bits: equal strings mean
+/// bit-identical results.
+std::string resultBits(const OptimizationResult &R) {
+  std::string Out = R.Schedule.toJson().dump();
+  auto Bits = [&Out](double V) {
+    Out += ' ' + std::to_string(std::bit_cast<uint64_t>(V));
+  };
+  for (const PhaseDecision &D : R.Decisions) {
+    for (int Level : D.Levels)
+      Out += ' ' + std::to_string(Level);
+    Bits(D.PredictedSpeedup);
+    Bits(D.PredictedQos);
+    Bits(D.AllocatedBudget);
+  }
+  for (double Roi : R.NormalizedRoi)
+    Bits(Roi);
+  for (size_t Phase : R.DegradedPhases)
+    Out += " d" + std::to_string(Phase);
+  Out += format(" %zu %zu %zu", R.ConfigsEvaluated, R.ConfigsPruned,
+                R.ConfigsScored);
+  return Out;
 }
 
 } // namespace
 
-TEST(ArtifactTest, BudgetGridsRoundTripBitExactly) {
-  OpproxArtifact Art = trainGriddedArtifact();
-  ASSERT_FALSE(Art.BudgetGrids.empty());
-  size_t Points = 0;
-  for (const BudgetGrid &Grid : Art.BudgetGrids)
-    Points += Grid.Points.size();
-  ASSERT_GT(Points, 0u);
+TEST(ArtifactTest, OldArtifactsLoadAndSolveAsIfGridsWereAbsent) {
+  // Builds that still had the budget-grid layer wrote an optional
+  // "budget_grids" section into 1.2 artifacts. Such a document must
+  // load whether the section is well formed or not, and every solve
+  // must be bit-identical to the same document without the section --
+  // as must a 1.1 document, which predates the section.
+  OpproxArtifact Art = trainArtifact("pso");
+  Expected<Json> Stripped = Json::parse(Art.serialize());
+  ASSERT_TRUE(Stripped);
+  ASSERT_EQ(Stripped->find("budget_grids"), nullptr)
+      << "budget_grids is no longer written";
 
-  // Byte-exact fixed point, grids included: deserialize and reserialize
-  // yields the identical document, so every grid double (budgets,
-  // predictions, allocated budgets) survived the %.17g round trip.
-  std::string First = Art.serialize();
-  ASSERT_NE(First.find("budget_grids"), std::string::npos);
-  Expected<OpproxArtifact> Back = OpproxArtifact::deserialize(First);
-  ASSERT_TRUE(Back) << Back.error().message();
-  ASSERT_EQ(Back->BudgetGrids.size(), Art.BudgetGrids.size());
-  EXPECT_EQ(Back->serialize(), First);
-}
-
-TEST(ArtifactTest, LegacyMinorSchemaLoadsWithGridsAbsent) {
-  // A 1.1 artifact predates budget_grids entirely: loading one must
-  // succeed with no grids, leaving every request on the compute path.
-  OpproxArtifact Art = trainArtifact("pso"); // No grids requested.
-  EXPECT_TRUE(Art.BudgetGrids.empty());
-  Expected<Json> Doc = Json::parse(Art.serialize());
-  ASSERT_TRUE(Doc);
-  ASSERT_EQ(Doc->find("budget_grids"), nullptr);
+  Json WellFormed = *Stripped;
+  WellFormed.set("budget_grids", handWrittenGridSection(Art));
+  Json Malformed = *Stripped;
+  Malformed.set("budget_grids", std::string("corrupt"));
+  Json Minor1 = *Stripped;
   Json Version = Json::object();
   Version.set("major", OpproxArtifact::SchemaMajor);
   Version.set("minor", 1);
-  Doc->set("schema_version", Version);
-  Expected<OpproxArtifact> Back = OpproxArtifact::fromJson(*Doc);
-  ASSERT_TRUE(Back) << Back.error().message();
-  EXPECT_TRUE(Back->BudgetGrids.empty());
-}
+  Minor1.set("schema_version", std::move(Version));
 
-TEST(ArtifactTest, CorruptGridSectionDegradesToMissPath) {
-  // budget_grids is an optional acceleration, so a damaged section must
-  // degrade the artifact to grid-less (every request recomputes) rather
-  // than fail the load -- but the degradation has to be visible in
-  // telemetry, not silent.
-  OpproxArtifact Art = trainGriddedArtifact();
-  Counter &LoadErrors =
-      MetricsRegistry::global().counter("cache.grid_load_errors");
+  const std::vector<double> Budgets = {2.0, 10.0, 25.0};
+  Expected<OpproxArtifact> Ref = OpproxArtifact::fromJson(*Stripped);
+  ASSERT_TRUE(Ref) << Ref.error().message();
+  OpproxRuntime RefRt = OpproxRuntime::fromArtifact(*Ref);
 
-  // Structurally wrong: the member is not even an array.
-  Expected<Json> Doc = Json::parse(Art.serialize());
-  ASSERT_TRUE(Doc);
-  Doc->set("budget_grids", std::string("corrupt"));
-  uint64_t Before = LoadErrors.value();
-  Expected<OpproxArtifact> NotArray = OpproxArtifact::fromJson(*Doc);
-  ASSERT_TRUE(NotArray) << NotArray.error().message();
-  EXPECT_TRUE(NotArray->BudgetGrids.empty());
-  EXPECT_GT(LoadErrors.value(), Before);
-
-  // One malformed grid object poisons only the grid section, and still
-  // only the grid section.
-  Expected<Json> Doc2 = Json::parse(Art.serialize());
-  ASSERT_TRUE(Doc2);
-  Json Grids = Json::array();
-  Grids.push(Json::object()); // A grid with every field missing.
-  Doc2->set("budget_grids", std::move(Grids));
-  Before = LoadErrors.value();
-  Expected<OpproxArtifact> BadGrid = OpproxArtifact::fromJson(*Doc2);
-  ASSERT_TRUE(BadGrid) << BadGrid.error().message();
-  EXPECT_TRUE(BadGrid->BudgetGrids.empty());
-  EXPECT_GT(LoadErrors.value(), Before);
-
-  // The degraded artifact still optimizes: the miss path does not care
-  // that the grids were dropped.
-  OpproxRuntime Rt = OpproxRuntime::fromArtifact(*BadGrid);
-  OptimizationResult R = Rt.optimizeDetailed(BadGrid->DefaultInput, 10.0);
-  EXPECT_FALSE(R.Decisions.empty());
+  const std::pair<const char *, const Json *> Docs[] = {
+      {"1.2 with a well-formed grid", &WellFormed},
+      {"1.2 with a malformed grid", &Malformed},
+      {"1.1 without grids", &Minor1}};
+  for (const auto &[What, Doc] : Docs) {
+    Expected<OpproxArtifact> Back = OpproxArtifact::fromJson(*Doc);
+    ASSERT_TRUE(Back) << What << ": " << Back.error().message();
+    // Nothing of the section survives: reserializing gives the
+    // stripped document back (modulo the schema version of the 1.1
+    // input, which is rewritten to the current one).
+    EXPECT_EQ(Back->serialize(), Art.serialize()) << What;
+    OpproxRuntime Rt = OpproxRuntime::fromArtifact(*Back);
+    for (double Budget : Budgets)
+      EXPECT_EQ(resultBits(Rt.optimizeDetailed(Back->DefaultInput, Budget)),
+                resultBits(
+                    RefRt.optimizeDetailed(Ref->DefaultInput, Budget)))
+          << What << ", budget " << Budget;
+  }
 }

@@ -15,7 +15,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/BudgetGrid.h"
 #include "core/OpproxRuntime.h"
 #include "core/OptimizePlanner.h"
 #include "core/Optimizer.h"
@@ -28,6 +27,7 @@
 #include "support/ThreadPool.h"
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <thread>
@@ -501,7 +501,7 @@ TEST(OptimizerEquivalenceTest, ServerResponsesMatchLocalDocumentBitwise) {
 }
 
 //===----------------------------------------------------------------------===//
-// Layered pipeline: cache and grid hits vs the compute path
+// Layered pipeline: cache hits vs the compute path
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -588,64 +588,54 @@ TEST(OptimizerEquivalenceTest, CachedResultsMatchUncachedBitwise) {
   }
 }
 
-TEST(OptimizerEquivalenceTest, GridHitsMatchFullSolveBitwise) {
-  // Precomputed budget-grid points must survive the artifact's JSON
-  // round trip and come back bit-identical to a fresh solve. The
-  // planner runs with the cache disabled so the only short-circuit
-  // available is the grid itself (proven via the grid_hits counter).
-  const std::vector<double> Input = {2.0};
-  const std::vector<double> Budgets = {0.02, 0.1, 0.5, 5.0};
-  OpproxArtifact Art = makeArtifact(modelB());
+TEST(ScheduleCacheTest, ShardCountNeverLetsEntriesExceedCapacity) {
+  // Every shard holds at least one entry, so eight shards over a
+  // four-entry capacity would hold eight. The shard count is clamped to
+  // the capacity instead, which keeps Capacity a bound on the total.
+  ScheduleCacheOptions Opts;
+  Opts.Capacity = 4;
+  Opts.Shards = 8;
+  ScheduleCache Cache(Opts);
+  EXPECT_LE(Cache.numShards(), Opts.Capacity);
+  OptimizationResult R;
+  for (int I = 0; I < 16; ++I)
+    Cache.insert(ScheduleCache::makeKey(0, {static_cast<double>(I)}, 1.0,
+                                        OptimizeOptions()),
+                 R);
+  EXPECT_LE(Cache.size(), 4u);
 
-  BudgetGridOptions GridOpts;
-  GridOpts.Enabled = true;
-  GridOpts.Budgets = Budgets;
-  Art.BudgetGrids = computeBudgetGrids(Art.Model, Art.MaxLevels,
-                                       Art.DefaultInput, {}, GridOpts);
-  ASSERT_EQ(Art.BudgetGrids.size(), 1u);
-  ASSERT_EQ(Art.BudgetGrids[0].Points.size(), Budgets.size());
+  // An absurd shard count allocates no more shards than entries.
+  Opts.Capacity = 16;
+  Opts.Shards = 99999999999999ull;
+  EXPECT_EQ(ScheduleCache(Opts).numShards(), 16u);
+  Opts.Capacity = 0;
+  EXPECT_EQ(ScheduleCache(Opts).numShards(), 1u);
+}
 
-  Expected<OpproxArtifact> Reloaded =
-      OpproxArtifact::deserialize(Art.serialize());
-  ASSERT_TRUE(static_cast<bool>(Reloaded)) << Reloaded.error().message();
-  ASSERT_EQ(Reloaded->BudgetGrids.size(), 1u);
-
-  PlannerOptions POpts;
-  POpts.UseCache = false;
-  OptimizePlanner Planner(POpts);
-  ASSERT_FALSE(Planner.cacheEnabled());
-
-  for (double Budget : Budgets) {
-    OptimizeOptions Opts; // Grid solve defaults: conservative, p=0.99.
-    OptimizationResult Ref = optimizeSchedule(
-        Reloaded->Model, Input, Reloaded->MaxLevels, Budget, Opts);
-
-    uint64_t GridHits = counterValue("cache.grid_hits");
-    Expected<OptimizationResult> Got =
-        Planner.optimize(*Reloaded, Input, Budget, Opts);
-    ASSERT_TRUE(static_cast<bool>(Got)) << Got.error().message();
-    EXPECT_EQ(counterValue("cache.grid_hits"), GridHits + 1)
-        << "budget " << Budget << " should resolve from the grid";
-
-    expectSameDecisions(Ref, *Got, "grid budget " + std::to_string(Budget));
-    EXPECT_EQ(resultDoc(*Reloaded, Budget, Input, Ref),
-              resultDoc(*Reloaded, Budget, Input, *Got))
-        << "grid budget " << Budget;
+TEST(PlannerOptionsTest, SignedOrOverflowingEnvValuesAreIgnored) {
+  // strtoull wraps "-1" to ULLONG_MAX; the planner's environment
+  // overrides must treat a sign or an out-of-range value as unparsable
+  // and keep the defaults.
+  const char *Names[] = {"OPPROX_CACHE_SHARDS", "OPPROX_CACHE_CAPACITY",
+                         "OPPROX_SCAN_THREADS"};
+  const PlannerOptions Defaults;
+  for (const char *Value : {"-1", "+1", " 1", "99999999999999999999999"}) {
+    for (const char *Name : Names)
+      setenv(Name, Value, 1);
+    PlannerOptions Opts = plannerOptionsFromEnv();
+    EXPECT_EQ(Opts.Cache.Shards, Defaults.Cache.Shards) << Value;
+    EXPECT_EQ(Opts.Cache.Capacity, Defaults.Cache.Capacity) << Value;
+    EXPECT_EQ(Opts.ScanThreads, Defaults.ScanThreads) << Value;
   }
-
-  // A request the grid does not cover -- different confidence mode --
-  // must fall through to the compute path, not misapply a grid point.
-  OptimizeOptions Aggressive;
-  Aggressive.Conservative = false;
-  uint64_t GridHits = counterValue("cache.grid_hits");
-  OptimizationResult Ref = optimizeSchedule(
-      Reloaded->Model, Input, Reloaded->MaxLevels, Budgets[0], Aggressive);
-  Expected<OptimizationResult> Got =
-      Planner.optimize(*Reloaded, Input, Budgets[0], Aggressive);
-  ASSERT_TRUE(static_cast<bool>(Got)) << Got.error().message();
-  EXPECT_EQ(counterValue("cache.grid_hits"), GridHits)
-      << "aggressive request must not hit a conservative grid";
-  expectSameDecisions(Ref, *Got, "aggressive fall-through");
+  // Plain digits still apply.
+  for (const char *Name : Names)
+    setenv(Name, "3", 1);
+  PlannerOptions Opts = plannerOptionsFromEnv();
+  EXPECT_EQ(Opts.Cache.Shards, 3u);
+  EXPECT_EQ(Opts.Cache.Capacity, 3u);
+  EXPECT_EQ(Opts.ScanThreads, 3u);
+  for (const char *Name : Names)
+    unsetenv(Name);
 }
 
 //===----------------------------------------------------------------------===//
@@ -766,14 +756,13 @@ TEST(ScheduleCacheConcurrencyTest, EvictionUnderContentionStaysBitIdentical) {
 TEST(OptimizerParallelTest, PlannerScanPoolMatchesSerialBitwise) {
   // A planner built with ScanThreads > 1 owns a shared pool and injects
   // it into every compute-layer solve; the schedule cache key ignores
-  // it, so the only acceptable observable difference is speed. Cache
-  // and grids are disabled so every request exercises the compute path.
+  // it, so the only acceptable observable difference is speed. The
+  // cache is disabled so every request exercises the compute path.
   const std::vector<double> Input = {2.0};
   OpproxArtifact Art = makeArtifact(modelA());
 
   PlannerOptions SerialOpts;
   SerialOpts.UseCache = false;
-  SerialOpts.UseGrids = false;
   OptimizePlanner Serial(SerialOpts);
   EXPECT_EQ(Serial.scanExecutors(), 1u);
   EXPECT_EQ(Serial.scanPool(), nullptr);

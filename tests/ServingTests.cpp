@@ -794,7 +794,6 @@ TEST_F(ServingTest, StatsRequestReportsCacheCounters) {
   EXPECT_TRUE(static_cast<bool>(getSize(**Cache, "misses")));
   EXPECT_TRUE(static_cast<bool>(getSize(**Cache, "negative_hits")));
   EXPECT_TRUE(static_cast<bool>(getSize(**Cache, "evictions")));
-  EXPECT_TRUE(static_cast<bool>(getSize(**Cache, "grid_hits")));
 }
 
 //===----------------------------------------------------------------------===//

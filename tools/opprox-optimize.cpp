@@ -67,8 +67,8 @@ int main(int Argc, char **Argv) {
                 "Schedule-cache entries; 0 caches nothing (default 4096, "
                 "or OPPROX_CACHE_CAPACITY)");
   Flags.addFlag("no-cache", &NoCache,
-                "Disable the schedule cache (and precomputed budget-grid "
-                "lookups keep working; the cache only memoizes)");
+                "Disable the schedule cache (every request is solved; the "
+                "cache only memoizes)");
   Flags.addFlag("online-control", &OnlineControl,
                 "Run the schedule through the online controller (required "
                 "by --feedback)");

@@ -203,9 +203,9 @@ void renderScreen(const Sample &S, const std::string &Host, uint16_t Port,
               S.rate("serve.shed"), S.rate("serve.errors"));
   std::printf("  latency_ms   p50 %8.4f   p95 %8.4f   p99 %8.4f\n",
               num(ReqMs, "p50"), num(ReqMs, "p95"), num(ReqMs, "p99"));
-  std::printf("  cache hit ratio %.4f   (hits %.0f, misses %.0f, grid %.0f)\n\n",
+  std::printf("  cache hit ratio %.4f   (hits %.0f, misses %.0f)\n\n",
               S.cacheHitRatio(), S.count("cache.hits"),
-              S.count("cache.misses"), S.count("cache.grid_hits"));
+              S.count("cache.misses"));
 
   double SumTotal = S.stageSumTotal();
   std::printf("  %-10s %10s %10s %10s %8s\n", "stage", "p50_ms", "p95_ms",

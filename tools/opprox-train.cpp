@@ -32,8 +32,6 @@ int main(int Argc, char **Argv) {
   long Threads = 0;
   long ProfileSeed = -1;
   long SaveRetries = 3;
-  bool BudgetGridEnabled = false;
-  std::string BudgetGridText;
   bool Quiet = false;
   TelemetryOptions Telemetry;
 
@@ -53,12 +51,6 @@ int main(int Argc, char **Argv) {
   Flags.addFlag("save-retries", &SaveRetries,
                 "Total artifact save attempts before giving up (a failed "
                 "save forfeits the whole training run)");
-  Flags.addFlag("budget-grid", &BudgetGridEnabled,
-                "Precompute the per-class budget-grid sweep into the "
-                "artifact (schema 1.2) so common budgets resolve by lookup");
-  Flags.addFlag("budget-grid-points", &BudgetGridText,
-                "Comma-separated budget points for --budget-grid "
-                "(default: 1,2,5,10,15,20,25,50)");
   Flags.addFlag("quiet", &Quiet, "Suppress progress output");
   addTelemetryFlags(Flags, Telemetry);
   if (!Flags.parse(Argc, Argv))
@@ -92,19 +84,6 @@ int main(int Argc, char **Argv) {
   Opts.ModelBuild.NumThreads = Opts.Profiling.NumThreads;
   if (ProfileSeed >= 0)
     Opts.Profiling.Seed = static_cast<uint64_t>(ProfileSeed);
-  Opts.BudgetGrid.Enabled = BudgetGridEnabled || !BudgetGridText.empty();
-  if (!BudgetGridText.empty()) {
-    Opts.BudgetGrid.Budgets.clear();
-    for (const std::string &Field : split(BudgetGridText, ',')) {
-      double Value = 0.0;
-      if (!parseDouble(trim(Field), Value) || Value < 0.0) {
-        std::fprintf(stderr, "error: bad budget-grid point '%s'\n",
-                     Field.c_str());
-        return 1;
-      }
-      Opts.BudgetGrid.Budgets.push_back(Value);
-    }
-  }
   if (currentLogLevel() >= LogLevel::Info) {
     Opts.Profiling.Observer = [](const ProfileProgress &P) {
       if (P.RunsCompleted % 50 != 0 && P.RunsCompleted != P.TotalRuns)
@@ -131,13 +110,6 @@ int main(int Argc, char **Argv) {
               "%zu training runs\n",
               A.AppName.c_str(), A.numPhases(), A.Model.numClasses(),
               A.numBlocks(), A.Provenance.TrainingRuns);
-  if (!A.BudgetGrids.empty()) {
-    size_t Points = 0;
-    for (const BudgetGrid &Grid : A.BudgetGrids)
-      Points += Grid.Points.size();
-    std::printf("budget grid: %zu precomputed points across %zu classes\n",
-                Points, A.BudgetGrids.size());
-  }
   std::printf("artifact written to %s (schema %ld.%ld, %zu bytes)\n",
               OutPath.c_str(), OpproxArtifact::SchemaMajor,
               OpproxArtifact::SchemaMinor, A.serialize().size());
