@@ -338,51 +338,80 @@ std::string resultBits(const OptimizationResult &R) {
   return Out;
 }
 
+/// Loads \p Doc and expects it to behave exactly like the artifact \p Art
+/// it was derived from: reserializing gives Art's document back (the
+/// budget_grids section, if any, is dropped and the schema version is
+/// rewritten to the current one), and every solve is bit-identical to a
+/// solve on Art's own document.
+void expectLoadsAsIfGridsWereAbsent(const OpproxArtifact &Art,
+                                    const Json &Doc) {
+  Expected<OpproxArtifact> Back = OpproxArtifact::fromJson(Doc);
+  ASSERT_TRUE(Back) << Back.error().message();
+  EXPECT_EQ(Back->serialize(), Art.serialize());
+
+  Expected<OpproxArtifact> Ref = OpproxArtifact::deserialize(Art.serialize());
+  ASSERT_TRUE(Ref) << Ref.error().message();
+  OpproxRuntime RefRt = OpproxRuntime::fromArtifact(*Ref);
+  OpproxRuntime Rt = OpproxRuntime::fromArtifact(*Back);
+  for (double Budget : {2.0, 10.0, 25.0})
+    EXPECT_EQ(resultBits(Rt.optimizeDetailed(Back->DefaultInput, Budget)),
+              resultBits(RefRt.optimizeDetailed(Ref->DefaultInput, Budget)))
+        << "budget " << Budget;
+}
+
+/// \p Art's document, which never carries budget_grids.
+Json strippedDocument(const OpproxArtifact &Art) {
+  Expected<Json> Doc = Json::parse(Art.serialize());
+  EXPECT_TRUE(Doc);
+  EXPECT_EQ(Doc->find("budget_grids"), nullptr)
+      << "budget_grids is no longer written";
+  return *Doc;
+}
+
 } // namespace
 
-TEST(ArtifactTest, OldArtifactsLoadAndSolveAsIfGridsWereAbsent) {
-  // Builds that still had the budget-grid layer wrote an optional
-  // "budget_grids" section into 1.2 artifacts. Such a document must
-  // load whether the section is well formed or not, and every solve
-  // must be bit-identical to the same document without the section --
-  // as must a 1.1 document, which predates the section.
-  OpproxArtifact Art = trainArtifact("pso");
-  Expected<Json> Stripped = Json::parse(Art.serialize());
-  ASSERT_TRUE(Stripped);
-  ASSERT_EQ(Stripped->find("budget_grids"), nullptr)
-      << "budget_grids is no longer written";
+// Builds that still had the budget-grid layer wrote an optional
+// "budget_grids" section into 1.2 artifacts. Such a document must load
+// whether the section is well formed or not, and every solve must be
+// bit-identical to the same document without the section -- as must a
+// 1.1 document, which predates the section.
 
-  Json WellFormed = *Stripped;
-  WellFormed.set("budget_grids", handWrittenGridSection(Art));
-  Json Malformed = *Stripped;
-  Malformed.set("budget_grids", std::string("corrupt"));
-  Json Minor1 = *Stripped;
+TEST(ArtifactTest, BudgetGridsRoundTripBitExactly) {
+  // A well-formed section is read past: the loaded artifact reserializes
+  // byte-exactly to the stripped document, and the hand-written point
+  // at budget 10 is never served in place of a solve.
+  OpproxArtifact Art = trainArtifact("pso");
+  Json Doc = strippedDocument(Art);
+  Doc.set("budget_grids", handWrittenGridSection(Art));
+  expectLoadsAsIfGridsWereAbsent(Art, Doc);
+}
+
+TEST(ArtifactTest, LegacyMinorSchemaLoadsWithGridsAbsent) {
+  OpproxArtifact Art = trainArtifact("pso");
+  Json Doc = strippedDocument(Art);
   Json Version = Json::object();
   Version.set("major", OpproxArtifact::SchemaMajor);
   Version.set("minor", 1);
-  Minor1.set("schema_version", std::move(Version));
+  Doc.set("schema_version", std::move(Version));
+  expectLoadsAsIfGridsWereAbsent(Art, Doc);
+}
 
-  const std::vector<double> Budgets = {2.0, 10.0, 25.0};
-  Expected<OpproxArtifact> Ref = OpproxArtifact::fromJson(*Stripped);
-  ASSERT_TRUE(Ref) << Ref.error().message();
-  OpproxRuntime RefRt = OpproxRuntime::fromArtifact(*Ref);
-
-  const std::pair<const char *, const Json *> Docs[] = {
-      {"1.2 with a well-formed grid", &WellFormed},
-      {"1.2 with a malformed grid", &Malformed},
-      {"1.1 without grids", &Minor1}};
-  for (const auto &[What, Doc] : Docs) {
-    Expected<OpproxArtifact> Back = OpproxArtifact::fromJson(*Doc);
-    ASSERT_TRUE(Back) << What << ": " << Back.error().message();
-    // Nothing of the section survives: reserializing gives the
-    // stripped document back (modulo the schema version of the 1.1
-    // input, which is rewritten to the current one).
-    EXPECT_EQ(Back->serialize(), Art.serialize()) << What;
-    OpproxRuntime Rt = OpproxRuntime::fromArtifact(*Back);
-    for (double Budget : Budgets)
-      EXPECT_EQ(resultBits(Rt.optimizeDetailed(Back->DefaultInput, Budget)),
-                resultBits(
-                    RefRt.optimizeDetailed(Ref->DefaultInput, Budget)))
-          << What << ", budget " << Budget;
+TEST(ArtifactTest, CorruptGridSectionDegradesToMissPath) {
+  // A damaged section does not fail the load; every request takes the
+  // full solve, as with no section at all.
+  OpproxArtifact Art = trainArtifact("pso");
+  {
+    SCOPED_TRACE("section is not an array");
+    Json Doc = strippedDocument(Art);
+    Doc.set("budget_grids", std::string("corrupt"));
+    expectLoadsAsIfGridsWereAbsent(Art, Doc);
+  }
+  {
+    SCOPED_TRACE("grid with every field missing");
+    Json Doc = strippedDocument(Art);
+    Json Grids = Json::array();
+    Grids.push(Json::object());
+    Doc.set("budget_grids", std::move(Grids));
+    expectLoadsAsIfGridsWereAbsent(Art, Doc);
   }
 }
