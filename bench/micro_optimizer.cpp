@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Serving-latency micro-benchmark for the optimizer hot path: the naive
-/// scalar scan vs. the batched+pruned scan (serial and parallel) on a
+/// scalar scan vs. the batched scan (serial and parallel) on a
 /// synthetic 6-block x 4-level model (4096 configurations per phase).
 /// Verifies the engines return bit-identical decisions, reports
 /// configs/sec and the optimize.ms p50/p99 from the telemetry histogram,
@@ -217,7 +217,7 @@ int main(int Argc, char **Argv) {
 
   OptimizeOptions Naive;
   Naive.UseNaiveScan = true;
-  OptimizeOptions Batched; // Defaults: batched + pruned, serial.
+  OptimizeOptions Batched; // Defaults: batched, serial.
   OptimizeOptions Parallel = Batched;
   // --threads 0 used to resolve through resolveWorkers(0) = 0 workers,
   // so the "parallel" row silently measured a 1-executor pool. Auto now
@@ -268,12 +268,6 @@ int main(int Argc, char **Argv) {
   std::printf("determinism: batched and parallel decisions are "
               "bit-identical to the naive scan\n\n");
 
-  size_t TotalConfigs = BatchedR.Opt.ConfigsEvaluated;
-  double PrunedFraction =
-      TotalConfigs > 0 ? static_cast<double>(BatchedR.Opt.ConfigsPruned) /
-                             static_cast<double>(TotalConfigs)
-                       : 0.0;
-
   Table T({"engine", "configs_per_sec", "ms_per_schedule", "p50_ms",
            "p99_ms", "vs_naive"});
   auto Row = [&](const char *Name, const EngineResult &E, double P50,
@@ -288,9 +282,8 @@ int main(int Argc, char **Argv) {
   Row(format("parallel_x%zu", Executors).c_str(), ParallelR, ParallelP50,
       ParallelP99);
   emit("micro_optimizer", T);
-  std::printf("\npruned %zu of %zu configs (%.1f%%), scored %zu\n",
-              BatchedR.Opt.ConfigsPruned, TotalConfigs,
-              PrunedFraction * 100.0, BatchedR.Opt.ConfigsScored);
+  std::printf("\nscored %zu of %zu configs\n", BatchedR.Opt.ConfigsScored,
+              BatchedR.Opt.ConfigsEvaluated);
 
   //===--------------------------------------------------------------------===//
   // Thread-scaling sweep: executors x space size, each space its own
@@ -337,7 +330,7 @@ int main(int Argc, char **Argv) {
     ScaleSpace SS;
     SS.Blocks = SweepBlocks;
     SS.Space = SweepSpace;
-    OptimizeOptions Serial; // Batched + pruned, serial, auto chunking.
+    OptimizeOptions Serial; // Batched, serial, auto chunking.
     (void)optimizeSchedule(*SweepModel, Input, SweepMax, Budget, Serial);
     EngineResult Base = timeEngine(*SweepModel, Input, SweepMax, Budget,
                                    Serial, static_cast<size_t>(Repeats));
@@ -525,9 +518,7 @@ int main(int Argc, char **Argv) {
   Out.set("budget", Budget);
   Out.set("decisions_bit_identical", Identical);
   Out.set("simd_tier", simd::activeTierName());
-  Out.set("configs_pruned", BatchedR.Opt.ConfigsPruned);
   Out.set("configs_scored", BatchedR.Opt.ConfigsScored);
-  Out.set("pruned_fraction", PrunedFraction);
   auto Engine = [](const EngineResult &E, double P50, double P99) {
     Json J = Json::object();
     J.set("configs_per_sec", E.ConfigsPerSec);

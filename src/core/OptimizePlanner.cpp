@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 using namespace opprox;
 
@@ -20,17 +21,18 @@ using namespace opprox;
 /// >= 0, so negative-entry keys can never collide with result keys.
 static constexpr int kUnclassified = -1;
 
-/// Parses an unsigned decimal environment value. strtoull accepts a
-/// sign (and wraps "-1" to ULLONG_MAX) and saturates on overflow, so
-/// anything but plain digits in range is rejected.
-static std::optional<size_t> envSize(const char *Name) {
+/// Parses an unsigned decimal environment value no larger than \p Max.
+/// strtoull accepts a sign (and wraps "-1" to ULLONG_MAX) and saturates
+/// on overflow, so anything but plain digits in range is rejected.
+static std::optional<size_t>
+envSize(const char *Name, size_t Max = std::numeric_limits<size_t>::max()) {
   const char *Value = std::getenv(Name);
   if (!Value || !std::isdigit(static_cast<unsigned char>(*Value)))
     return std::nullopt;
   char *End = nullptr;
   errno = 0;
   unsigned long long Parsed = std::strtoull(Value, &End, 10);
-  if (*End != '\0' || errno == ERANGE)
+  if (*End != '\0' || errno == ERANGE || Parsed > Max)
     return std::nullopt;
   return static_cast<size_t>(Parsed);
 }
@@ -44,7 +46,8 @@ PlannerOptions opprox::plannerOptionsFromEnv() {
   if (const char *Disable = std::getenv("OPPROX_CACHE_DISABLE"))
     if (*Disable && std::string(Disable) != "0")
       Opts.UseCache = false;
-  if (std::optional<size_t> ScanThreads = envSize("OPPROX_SCAN_THREADS"))
+  if (std::optional<size_t> ScanThreads =
+          envSize("OPPROX_SCAN_THREADS", ThreadPool::MaxExecutors))
     Opts.ScanThreads = *ScanThreads;
   return Opts;
 }

@@ -17,8 +17,8 @@
 ///     decision-relevant options.
 ///  2. **Lookup**: consult the sharded ScheduleCache (positive and
 ///     negative entries).
-///  3. **Compute**: fall through to the existing pruned/batched
-///     Algorithm-2 search, and memoize the result.
+///  3. **Compute**: fall through to the batched Algorithm-2 search,
+///     and memoize the result.
 ///
 /// The contract is bit-identity: a result served from the cache is
 /// byte-for-byte what the compute layer would have produced for the

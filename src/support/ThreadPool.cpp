@@ -178,7 +178,8 @@ size_t ThreadPool::defaultWorkerCount() {
   if (const char *Env = std::getenv("OPPROX_THREADS")) {
     char *End = nullptr;
     long Requested = std::strtol(Env, &End, 10);
-    if (End != Env && *End == '\0' && Requested >= 1)
+    if (End != Env && *End == '\0' && Requested >= 1 &&
+        static_cast<unsigned long>(Requested) <= MaxExecutors)
       return static_cast<size_t>(Requested);
   }
   unsigned Hw = std::thread::hardware_concurrency();

@@ -53,6 +53,13 @@ namespace opprox {
 /// and future-returning task submission.
 class ThreadPool {
 public:
+  /// Ceiling on the executor count a user can request through
+  /// OPPROX_THREADS, OPPROX_SCAN_THREADS, or --scan-threads. Larger
+  /// values are out of range: the environment variables ignore them and
+  /// the flag rejects them, so a typo cannot try to start billions of
+  /// threads.
+  static constexpr size_t MaxExecutors = 1024;
+
   /// Spawns \p NumWorkers worker threads. 0 spawns none: submit() and
   /// parallelFor() then execute inline on the calling thread, which
   /// makes a zero-worker pool the canonical "run serially" object.
@@ -88,10 +95,11 @@ public:
   bool insideThisPool() const;
 
   /// Worker count requested by the environment: OPPROX_THREADS when set
-  /// to a positive integer, otherwise std::thread::hardware_concurrency
-  /// (at least 1). This counts *executors*, so parallel sections built
-  /// on parallelFor() create pools with defaultWorkerCount()-1 workers
-  /// plus the participating caller; resolveWorkers() does exactly that.
+  /// to an integer in [1, MaxExecutors], otherwise
+  /// std::thread::hardware_concurrency (at least 1). This counts
+  /// *executors*, so parallel sections built on parallelFor() create
+  /// pools with defaultWorkerCount()-1 workers plus the participating
+  /// caller; resolveWorkers() does exactly that.
   static size_t defaultWorkerCount();
 
   /// Maps an options-style thread count (0 = auto-detect via

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CheapTraining.h"
 #include "apps/AppRegistry.h"
 #include "core/OfflineTrainer.h"
 #include "core/Opprox.h"
@@ -25,26 +26,6 @@
 using namespace opprox;
 
 namespace {
-
-/// Cheap but complete training options: two light inputs per app (for
-/// FFmpeg, one per filter order so both control-flow classes train) and a
-/// thin joint sweep, so every app trains in well under a second while
-/// still exercising multi-phase, multi-class models.
-OpproxTrainOptions cheapOptions(const std::string &AppName) {
-  OpproxTrainOptions Opts;
-  Opts.Profiling.RandomJointSamples = 6;
-  if (AppName == "pso")
-    Opts.TrainingInputs = {{30, 5}, {45, 6}};
-  else if (AppName == "lulesh")
-    Opts.TrainingInputs = {{20, 8}, {20, 16}};
-  else if (AppName == "comd")
-    Opts.TrainingInputs = {{3, 1.52, 60}, {3, 1.60, 80}};
-  else if (AppName == "ffmpeg")
-    Opts.TrainingInputs = {{15, 4, 4, 0}, {15, 4, 4, 1}};
-  else if (AppName == "bodytrack")
-    Opts.TrainingInputs = {{3, 96, 10}, {4, 96, 14}};
-  return Opts;
-}
 
 OpproxArtifact trainArtifact(const std::string &AppName) {
   auto App = createApp(AppName);

@@ -5,16 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batched+pruned+parallel optimizer engine must return decisions
+/// The batched+parallel optimizer engine must return decisions
 /// bit-identical to the retained naive scalar reference for every
-/// combination of budget, confidence mode, pruning, batch/chunk
-/// geometry, and worker count. The scalar reference assembles features
-/// per call through SelectedModel::predict while the serving engine
-/// uses the batch kernels and memoized eval-plan tables, so these tests
-/// compare two genuinely independent implementations.
+/// combination of budget, confidence mode, batch/chunk geometry, and
+/// worker count, on synthetic models and on the five trained mini-apps.
+/// The scalar reference assembles features per call through
+/// SelectedModel::predict while the serving engine uses the batch
+/// kernels and memoized eval-plan tables, so these tests compare two
+/// genuinely independent implementations.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CheapTraining.h"
+#include "apps/AppRegistry.h"
 #include "core/OpproxRuntime.h"
 #include "core/OptimizePlanner.h"
 #include "core/Optimizer.h"
@@ -157,6 +160,43 @@ TEST(OptimizerEquivalenceTest, MatchesNaiveAcrossBudgetsAndModes) {
   }
 }
 
+TEST(OptimizerEquivalenceTest, RealAppsMatchNaiveScanBitwise) {
+  // The synthetic models above have 3-4 blocks of 3 levels; the trained
+  // mini-apps have the real spaces (216 or 1296 configs per phase),
+  // multi-class classifiers, and subcategory-split models. Every
+  // training input and the default input, across budgets and both
+  // confidence modes, must decide exactly as the naive scan does.
+  for (const std::string &Name : allAppNames()) {
+    auto App = createApp(Name);
+    OpproxTrainOptions TrainOpts = cheapOptions(Name);
+    OpproxArtifact Art =
+        std::move(OfflineTrainer::train(*App, TrainOpts).Artifact);
+    std::vector<std::vector<double>> Inputs = TrainOpts.TrainingInputs;
+    Inputs.push_back(App->defaultInput());
+    for (size_t I = 0; I < Inputs.size(); ++I) {
+      const std::vector<double> &Input = Inputs[I];
+      for (double Budget : {0.5, 2.0, 5.0, 10.0, 20.0, 30.0}) {
+        for (bool Conservative : {true, false}) {
+          OptimizeOptions Naive;
+          Naive.UseNaiveScan = true;
+          Naive.Conservative = Conservative;
+          OptimizeOptions Batched;
+          Batched.Conservative = Conservative;
+          OptimizationResult Ref = optimizeSchedule(
+              Art.Model, Input, Art.MaxLevels, Budget, Naive);
+          OptimizationResult Got = optimizeSchedule(
+              Art.Model, Input, Art.MaxLevels, Budget, Batched);
+          std::string What = Name + ", input " + std::to_string(I) +
+                             ", budget " + std::to_string(Budget) +
+                             (Conservative ? ", conservative" : ", plain");
+          expectSameDecisions(Ref, Got, What);
+          EXPECT_EQ(Ref.ConfigsScored, Got.ConfigsScored) << What;
+        }
+      }
+    }
+  }
+}
+
 TEST(OptimizerEquivalenceTest, BatchAndChunkGeometryIrrelevant) {
   const std::vector<double> Input = {1.0};
   std::vector<int> MaxLevels(modelA().numBlocks(), 2);
@@ -169,18 +209,14 @@ TEST(OptimizerEquivalenceTest, BatchAndChunkGeometryIrrelevant) {
   // the resolved executor count, which must stay decision-irrelevant.
   for (size_t BatchSize : {1u, 3u, 17u, 4096u}) {
     for (size_t ChunkSize : {0u, 1u, 5u, 29u, 1000000u}) {
-      for (bool Prune : {true, false}) {
-        OptimizeOptions Opts;
-        Opts.BatchSize = BatchSize;
-        Opts.ChunkSize = ChunkSize;
-        Opts.Prune = Prune;
-        OptimizationResult Got =
-            optimizeSchedule(modelA(), Input, MaxLevels, 0.3, Opts);
-        expectSameDecisions(Ref, Got,
-                            "batch " + std::to_string(BatchSize) +
-                                ", chunk " + std::to_string(ChunkSize) +
-                                ", prune " + std::to_string(Prune));
-      }
+      OptimizeOptions Opts;
+      Opts.BatchSize = BatchSize;
+      Opts.ChunkSize = ChunkSize;
+      OptimizationResult Got =
+          optimizeSchedule(modelA(), Input, MaxLevels, 0.3, Opts);
+      expectSameDecisions(Ref, Got,
+                          "batch " + std::to_string(BatchSize) + ", chunk " +
+                              std::to_string(ChunkSize));
     }
   }
 }
@@ -191,22 +227,12 @@ TEST(OptimizerEquivalenceTest, SearchStatsPartitionTheSpace) {
   size_t SpacePerPhase = 81; // 3^4.
   size_t NumPhases = modelA().numPhases();
 
-  OptimizeOptions NoPrune;
-  NoPrune.Prune = false;
-  OptimizationResult Full =
-      optimizeSchedule(modelA(), Input, MaxLevels, 0.1, NoPrune);
-  EXPECT_EQ(Full.ConfigsEvaluated, SpacePerPhase * NumPhases);
-  EXPECT_EQ(Full.ConfigsPruned, 0u);
+  OptimizeOptions Opts;
+  OptimizationResult R =
+      optimizeSchedule(modelA(), Input, MaxLevels, 0.1, Opts);
+  EXPECT_EQ(R.ConfigsEvaluated, SpacePerPhase * NumPhases);
   // Everything except the per-phase all-exact baseline is scored.
-  EXPECT_EQ(Full.ConfigsScored, (SpacePerPhase - 1) * NumPhases);
-
-  OptimizeOptions Pruned;
-  OptimizationResult P =
-      optimizeSchedule(modelA(), Input, MaxLevels, 0.1, Pruned);
-  // Scored + pruned + the skipped baselines account for every config.
-  EXPECT_EQ(P.ConfigsScored + P.ConfigsPruned + NumPhases,
-            P.ConfigsEvaluated);
-  EXPECT_EQ(P.ConfigsEvaluated, SpacePerPhase * NumPhases);
+  EXPECT_EQ(R.ConfigsScored + NumPhases, R.ConfigsEvaluated);
 }
 
 TEST(OptimizerEquivalenceTest, NegativeOrNanBudgetFailsLoudly) {
@@ -278,33 +304,6 @@ TEST(OptimizerEquivalenceTest, BatchPredictionsMatchScalarBitwise) {
   }
 }
 
-TEST(OptimizerEquivalenceTest, QosFloorNeverExceedsAnyMemberConfig) {
-  // The certified floor must lower-bound the (conservative) QoS of every
-  // configuration that pins the (block, level) it covers; otherwise
-  // pruning could discard a feasible configuration.
-  const std::vector<double> Input = {2.0};
-  std::vector<int> MaxLevels(modelA().numBlocks(), 2);
-  for (size_t Phase = 0; Phase < modelA().numPhases(); ++Phase) {
-    const PhaseModels &PM = modelA().phaseModels(Input, Phase);
-    for (bool Conservative : {true, false}) {
-      PhaseEvalPlan Plan =
-          PM.makeEvalPlan(Input, MaxLevels, Conservative, 0.99);
-      for (ConfigCursor C(MaxLevels); !C.done(); C.next()) {
-        double Qos =
-            Conservative ? PM.conservativeQos(Input, C.levels(), 0.99)
-                         : PM.predictQos(Input, C.levels());
-        for (size_t B = 0; B < MaxLevels.size(); ++B) {
-          double Floor =
-              Plan.QosFloor[B][static_cast<size_t>(C.levels()[B])];
-          EXPECT_LE(Floor, Qos)
-              << "phase " << Phase << ", config index " << C.index()
-              << ", block " << B;
-        }
-      }
-    }
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Parallel scan (suite runs under TSan in CI; see .github/workflows)
 //===----------------------------------------------------------------------===//
@@ -363,13 +362,12 @@ TEST(OptimizerParallelTest, ThreadScalingDeterministicWithAutoChunks) {
   OptimizationResult Ref =
       optimizeSchedule(modelA(), Input, MaxLevels, 0.25, Naive);
 
-  OptimizeOptions Serial; // Batched, pruned, auto chunking, 1 executor.
+  OptimizeOptions Serial; // Batched, auto chunking, 1 executor.
   OptimizationResult Base =
       optimizeSchedule(modelA(), Input, MaxLevels, 0.25, Serial);
   expectSameDecisions(Ref, Base, "serial auto-chunk");
   EXPECT_EQ(Base.ConfigsEvaluated, Space);
-  EXPECT_EQ(Base.ConfigsScored + Base.ConfigsPruned + modelA().numPhases(),
-            Base.ConfigsEvaluated);
+  EXPECT_EQ(Base.ConfigsScored + modelA().numPhases(), Base.ConfigsEvaluated);
 
   for (size_t Threads : {1u, 2u, 4u, 8u}) {
     OptimizeOptions Opts;
@@ -378,15 +376,10 @@ TEST(OptimizerParallelTest, ThreadScalingDeterministicWithAutoChunks) {
         optimizeSchedule(modelA(), Input, MaxLevels, 0.25, Opts);
     std::string What = "auto chunks, threads " + std::to_string(Threads);
     expectSameDecisions(Ref, Got, What);
-    // Stats are chunking-invariant, not just decision-invariant: a
-    // subtree clipped at a chunk boundary is re-pruned from the next
-    // chunk's start, so the scored/pruned split cannot depend on where
-    // the executor count put the boundaries.
+    // Stats are chunking-invariant, not just decision-invariant: every
+    // chunk scores each of its configurations, wherever the executor
+    // count put the boundaries.
     EXPECT_EQ(Got.ConfigsScored, Base.ConfigsScored) << What;
-    EXPECT_EQ(Got.ConfigsPruned, Base.ConfigsPruned) << What;
-    EXPECT_EQ(Got.ConfigsScored + Got.ConfigsPruned + modelA().numPhases(),
-              Got.ConfigsEvaluated)
-        << What;
   }
 }
 
@@ -636,6 +629,40 @@ TEST(PlannerOptionsTest, SignedOrOverflowingEnvValuesAreIgnored) {
   EXPECT_EQ(Opts.ScanThreads, 3u);
   for (const char *Name : Names)
     unsetenv(Name);
+}
+
+TEST(PlannerOptionsTest, HugeExecutorCountsFallBackToDefaults) {
+  // A thread count above ThreadPool::MaxExecutors used to reach
+  // ThreadPool(N) and abort in Workers.reserve(N) with std::bad_alloc.
+  // Out of range now means unparsable: each variable keeps its default.
+  unsetenv("OPPROX_SCAN_THREADS");
+  unsetenv("OPPROX_THREADS");
+  const size_t DefaultWorkers = ThreadPool::defaultWorkerCount();
+  const PlannerOptions Defaults = plannerOptionsFromEnv();
+  const size_t DefaultScanExecutors =
+      OptimizePlanner(Defaults).scanExecutors();
+
+  setenv("OPPROX_SCAN_THREADS", "99999999999", 1);
+  PlannerOptions Opts = plannerOptionsFromEnv();
+  EXPECT_EQ(Opts.ScanThreads, Defaults.ScanThreads);
+  EXPECT_EQ(OptimizePlanner(Opts).scanExecutors(), DefaultScanExecutors);
+
+  // ScanThreads 0 resolves through OPPROX_THREADS.
+  setenv("OPPROX_SCAN_THREADS", "0", 1);
+  setenv("OPPROX_THREADS", "99999999999", 1);
+  EXPECT_EQ(ThreadPool::defaultWorkerCount(), DefaultWorkers);
+  Opts = plannerOptionsFromEnv();
+  EXPECT_EQ(Opts.ScanThreads, 0u);
+  EXPECT_EQ(OptimizePlanner(Opts).scanExecutors(), DefaultWorkers);
+
+  // The ceiling itself is still in range.
+  std::string Max = std::to_string(ThreadPool::MaxExecutors);
+  setenv("OPPROX_THREADS", Max.c_str(), 1);
+  EXPECT_EQ(ThreadPool::defaultWorkerCount(), ThreadPool::MaxExecutors);
+  setenv("OPPROX_SCAN_THREADS", Max.c_str(), 1);
+  EXPECT_EQ(plannerOptionsFromEnv().ScanThreads, ThreadPool::MaxExecutors);
+  unsetenv("OPPROX_SCAN_THREADS");
+  unsetenv("OPPROX_THREADS");
 }
 
 //===----------------------------------------------------------------------===//

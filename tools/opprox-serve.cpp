@@ -22,6 +22,7 @@
 #include "support/Signals.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 #include <csignal>
 #include <cstdio>
 
@@ -167,6 +168,11 @@ int main(int Argc, char **Argv) {
     Opts.Planner.Cache.Capacity = static_cast<size_t>(CacheCapacity);
   if (NoCache)
     Opts.Planner.UseCache = false;
+  if (ScanThreads > static_cast<long>(ThreadPool::MaxExecutors)) {
+    std::fprintf(stderr, "error: --scan-threads must be at most %zu\n",
+                 ThreadPool::MaxExecutors);
+    return 1;
+  }
   if (ScanThreads >= 0)
     Opts.Planner.ScanThreads = static_cast<size_t>(ScanThreads);
   if (SlowWindow < 0 || SlowTop < 0) {
