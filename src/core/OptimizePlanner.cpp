@@ -67,6 +67,15 @@ size_t OptimizePlanner::scanExecutors() const {
   return ScanPool ? ScanPool->numWorkers() + 1 : 1;
 }
 
+/// The entry's rendered document, sharing the entry's ownership; null
+/// for entries that keep none (tail re-solves).
+static std::shared_ptr<const std::string>
+documentOf(const std::shared_ptr<const ScheduleCache::Solved> &Entry) {
+  if (Entry->Document.empty())
+    return nullptr;
+  return std::shared_ptr<const std::string>(Entry, &Entry->Document);
+}
+
 OptimizationResult
 OptimizePlanner::lookupOrCompute(const OpproxArtifact &Art, int ClassId,
                                  const std::vector<double> &Input,
@@ -92,7 +101,9 @@ OptimizePlanner::lookupOrCompute(const OpproxArtifact &Art, int ClassId,
     if (std::optional<ScheduleCache::CachedValue> Hit = Cache->lookup(Key))
       if (!Hit->Negative) {
         finishLookup(/*CacheHit=*/true);
-        return std::move(Hit->Result);
+        if (Stages)
+          Stages->Document = documentOf(Hit->Solution);
+        return Hit->Solution->Result;
       }
   }
   finishLookup(/*CacheHit=*/false);
@@ -112,8 +123,18 @@ OptimizePlanner::lookupOrCompute(const OpproxArtifact &Art, int ClassId,
       Art.Model, Input, Art.MaxLevels, QosBudget, FirstPhase, ComputeOpts);
   // A degraded result is the fault ladder's answer for *this* request;
   // memoizing it would keep serving the fallback after the fault clears.
-  if (Cache && R.DegradedPhases.empty())
-    Cache->insert(Key, R);
+  // A full-schedule entry also keeps its result document, rendered here
+  // once for every later hit on the key; tail re-solves never reach the
+  // wire, so they keep none.
+  if (Cache && R.DegradedPhases.empty()) {
+    std::string Document;
+    if (FirstPhase == 0)
+      Document = optimizationResultJson(Art, QosBudget, Input, R).dump();
+    std::shared_ptr<const ScheduleCache::Solved> Entry =
+        Cache->insert(Key, R, std::move(Document));
+    if (Stages)
+      Stages->Document = documentOf(Entry);
+  }
   if (Stages)
     Stages->ComputeMs =
         std::chrono::duration<double, std::milli>(Clock::now() - ComputeStart)
@@ -135,6 +156,8 @@ OptimizePlanner::optimizeTail(const OpproxArtifact &Art,
                               double QosBudget, size_t FirstPhase,
                               const OptimizeOptions &Opts,
                               PlannerStageBreakdown *Stages) const {
+  if (Stages)
+    Stages->Document.reset();
   // Plan layer: the same request checks (and the same messages) the
   // pre-pipeline tryOptimizeDetailed performed, with rejections
   // memoized so repeated malformed requests cost one lookup.

@@ -18,7 +18,9 @@
 ///  2. **Lookup**: consult the sharded ScheduleCache (positive and
 ///     negative entries).
 ///  3. **Compute**: fall through to the batched Algorithm-2 search,
-///     and memoize the result.
+///     and memoize the result -- for a full-schedule solve together
+///     with its rendered result document, so a warm hit hands the
+///     serving tier finished response bytes.
 ///
 /// The contract is bit-identity: a result served from the cache is
 /// byte-for-byte what the compute layer would have produced for the
@@ -66,6 +68,11 @@ struct PlannerStageBreakdown {
   double LookupMs = 0.0;  ///< Key building + cache probe.
   double ComputeMs = 0.0; ///< Full Algorithm-2 solve + memoization.
   bool CacheHit = false;  ///< Served from the schedule cache.
+  /// The cached entry's rendered result document
+  /// (optimizationResultJson(...).dump()), set when a full-schedule
+  /// solve was served from or inserted into the cache; null otherwise
+  /// (cache disabled, degraded solve, tail re-solve, rejected request).
+  std::shared_ptr<const std::string> Document;
 };
 
 /// The plan -> lookup -> compute pipeline for one artifact's requests.

@@ -21,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Optimizer.h"
+#include "core/ModelArtifact.h"
 #include "core/Sampler.h"
 #include "support/Log.h"
 #include "support/Simd.h"
@@ -512,4 +513,18 @@ OptimizationResult opprox::optimizeScheduleTail(
     const OptimizeOptions &Opts) {
   return optimizeScheduleImpl(Model, Input, MaxLevels, QosBudget, FirstPhase,
                               Opts);
+}
+
+Json opprox::optimizationResultJson(const OpproxArtifact &Artifact,
+                                    double Budget,
+                                    const std::vector<double> &Input,
+                                    const OptimizationResult &Result) {
+  Json Out = Json::object();
+  Out.set("app", Artifact.AppName);
+  Out.set("budget", Budget);
+  Out.set("input", Json::numberArray(Input));
+  Out.set("schedule", Result.Schedule.toJson());
+  Out.set("configs_evaluated", Result.ConfigsEvaluated);
+  Out.set("degraded_phases", Result.DegradedPhases.size());
+  return Out;
 }

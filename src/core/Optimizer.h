@@ -20,10 +20,12 @@
 
 #include "core/AppModel.h"
 #include "approx/PhaseSchedule.h"
+#include "support/Json.h"
 
 namespace opprox {
 
 class ThreadPool;
+struct OpproxArtifact;
 
 struct OptimizeOptions {
   /// Confidence level for the conservative bounds (paper: p = 0.99).
@@ -92,6 +94,16 @@ struct OptimizationResult {
   size_t ConfigsPruned = 0;
   size_t ConfigsScored = 0;
 };
+
+/// The canonical result document for one optimization -- the single
+/// source of truth shared by `opprox-optimize --json`, the server's
+/// success responses, and the response bytes the planner memoizes with
+/// each cached full-schedule solve. Every writer of that document calls
+/// this one builder, which is what makes them byte-identical for the
+/// same artifact and request.
+Json optimizationResultJson(const OpproxArtifact &Artifact, double Budget,
+                            const std::vector<double> &Input,
+                            const OptimizationResult &Result);
 
 /// Searches one phase: maximize predicted speedup subject to the
 /// conservative QoS staying within \p Budget. Returns the all-exact

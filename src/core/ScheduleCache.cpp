@@ -138,11 +138,15 @@ void ScheduleCache::insertValue(const Key &K, CachedValue Value) {
   S.Map.emplace(K.Bytes, S.Lru.begin());
 }
 
-void ScheduleCache::insert(const Key &K, const OptimizationResult &Result) {
+std::shared_ptr<const ScheduleCache::Solved>
+ScheduleCache::insert(const Key &K, OptimizationResult Result,
+                      std::string Document) {
+  auto Entry = std::make_shared<const Solved>(
+      Solved{std::move(Result), std::move(Document)});
   CachedValue Value;
-  Value.Negative = false;
-  Value.Result = Result;
+  Value.Solution = Entry;
   insertValue(K, std::move(Value));
+  return Entry;
 }
 
 void ScheduleCache::insertNegative(const Key &K,

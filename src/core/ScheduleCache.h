@@ -7,8 +7,9 @@
 /// \file
 /// The lookup layer of the optimize pipeline (docs/ARCHITECTURE.md,
 /// "Layered optimize pipeline"): a sharded LRU cache from canonical
-/// request keys to finished OptimizationResults, plus negative entries
-/// that memoize the Error a malformed request produced.
+/// request keys to finished OptimizationResults -- each full-schedule
+/// entry with its rendered result document -- plus negative entries that
+/// memoize the Error a malformed request produced.
 ///
 /// Correctness contract: a key covers *every* value the optimizer's
 /// decision depends on -- the raw bits of the full input vector and the
@@ -74,12 +75,22 @@ public:
 
   explicit ScheduleCache(const ScheduleCacheOptions &Opts = {});
 
-  /// What a successful lookup found: either a finished result or the
+  /// One finished solve, shared by the entry and every hit on it: a hit
+  /// copies this pointer under the shard lock, never the result.
+  struct Solved {
+    OptimizationResult Result;
+    /// optimizationResultJson(...).dump() for full-schedule solves --
+    /// the bytes a wire response splices in. Empty for tail re-solves,
+    /// which only the online controller reads.
+    std::string Document;
+  };
+
+  /// What a successful lookup found: either a finished solve or the
   /// memoized rejection of a malformed request.
   struct CachedValue {
     bool Negative = false;
-    OptimizationResult Result;  ///< Valid when !Negative.
-    std::string ErrorMessage;   ///< Valid when Negative.
+    std::shared_ptr<const Solved> Solution; ///< Set when !Negative.
+    std::string ErrorMessage;               ///< Valid when Negative.
   };
 
   /// Finds \p K, refreshing its LRU position. Counts cache.hits,
@@ -87,9 +98,11 @@ public:
   /// latency into cache.lookup_ns.
   std::optional<CachedValue> lookup(const Key &K);
 
-  /// Inserts (or refreshes) a positive entry. Evicting the LRU tail to
-  /// make room counts cache.evictions. No-op when Capacity is 0.
-  void insert(const Key &K, const OptimizationResult &Result);
+  /// Inserts (or refreshes) a positive entry and returns it. Evicting
+  /// the LRU tail to make room counts cache.evictions. When Capacity is
+  /// 0 nothing is stored, but the entry is still returned.
+  std::shared_ptr<const Solved> insert(const Key &K, OptimizationResult Result,
+                                       std::string Document = {});
 
   /// Inserts a negative entry memoizing a malformed request's Error.
   void insertNegative(const Key &K, const std::string &ErrorMessage);

@@ -296,7 +296,8 @@ bool Server::Impl::handleProbe(Conn &C, const ServeRequest &Req) {
 /// T0..T1 is parse, T1..T2 is the optimize interval (the planner
 /// reports its lookup and compute layers precisely; the residual is
 /// "plan": validation, app resolution, option merging), and T2..T3 is
-/// serialize (response construction + the socket write). The stage
+/// serialize (response construction + the socket write; on a cache hit
+/// the construction is only the splice of memoized result bytes). The stage
 /// histograms therefore sum to serve.request_ms by construction.
 bool Server::Impl::handleLine(Conn &C, const std::string &Line, Shard &S,
                               size_t &CycleBudget) {
@@ -485,11 +486,18 @@ bool Server::Impl::handleLine(Conn &C, const std::string &Line, Shard &S,
     return Finish(Req->Id, T2, /*IsError=*/true,
                   errorResponseLine(Req->Id, errc::BadRequest,
                                     Result.error().message()));
+  // A cached solve carries its result document, rendered once when the
+  // entry was inserted; only a solve the cache does not keep (degraded,
+  // or the cache disabled) renders it here. Either way the response
+  // splices the same bytes optimizationResultJson produces.
+  std::string Rendered;
+  if (!PB.Document)
+    Rendered =
+        optimizationResultJson(Rt->artifact(), Req->Budget, Input, *Result)
+            .dump();
   return Finish(Req->Id, T2, /*IsError=*/false,
-                successResponseLine(Req->Id,
-                                    optimizationResultJson(Rt->artifact(),
-                                                           Req->Budget, Input,
-                                                           *Result)));
+                splicedResponseLine(Req->Id,
+                                    PB.Document ? *PB.Document : Rendered));
 }
 
 void Server::Impl::shardLoop(size_t Index) {
@@ -585,7 +593,10 @@ void Server::Impl::shardLoop(size_t Index) {
       Pfds.push_back(Pfd);
     }
     ::poll(Pfds.data(), Pfds.size(), /*timeout=*/100);
-    S.Wake.drain();
+    // Only a wake-up (new connection, shutdown) leaves bytes to drain;
+    // a request-only cycle skips the read() that would return EAGAIN.
+    if (Pfds[0].revents & POLLIN)
+      S.Wake.drain();
 
     // Serve readable connections; iterate backwards so closing one
     // never shifts an index we still need. Pfds[I + 1] pairs Conns[I].

@@ -112,20 +112,6 @@ std::string serve::requestErrorCode(const Error &E) {
   return errc::Internal;
 }
 
-Json serve::optimizationResultJson(const OpproxArtifact &Artifact,
-                                   double Budget,
-                                   const std::vector<double> &Input,
-                                   const OptimizationResult &Result) {
-  Json Out = Json::object();
-  Out.set("app", Artifact.AppName);
-  Out.set("budget", Budget);
-  Out.set("input", Json::numberArray(Input));
-  Out.set("schedule", Result.Schedule.toJson());
-  Out.set("configs_evaluated", Result.ConfigsEvaluated);
-  Out.set("degraded_phases", Result.DegradedPhases.size());
-  return Out;
-}
-
 Json serve::cacheStatsJson() {
   MetricsRegistry &Registry = MetricsRegistry::global();
   Json Cache = Json::object();
@@ -139,11 +125,22 @@ Json serve::cacheStatsJson() {
 }
 
 std::string serve::successResponseLine(const Json &Id, Json ResultDoc) {
-  Json Response = Json::object();
-  Response.set("id", Id);
-  Response.set("ok", true);
-  Response.set("result", std::move(ResultDoc));
-  return Response.dump() + "\n";
+  return splicedResponseLine(Id, ResultDoc.dump());
+}
+
+std::string serve::splicedResponseLine(const Json &Id,
+                                       std::string_view ResultBytes) {
+  // Exactly what dumping {"id": Id, "ok": true, "result": <document>}
+  // produces, with the result bytes copied in instead of re-serialized.
+  static constexpr std::string_view Head = "{\"id\":";
+  static constexpr std::string_view Middle = ",\"ok\":true,\"result\":";
+  std::string IdBytes = Id.dump();
+  std::string Line;
+  Line.reserve(Head.size() + IdBytes.size() + Middle.size() +
+               ResultBytes.size() + 2);
+  Line.append(Head).append(IdBytes).append(Middle).append(ResultBytes);
+  Line += "}\n";
+  return Line;
 }
 
 std::string serve::errorResponseLine(const Json &Id, const std::string &Code,

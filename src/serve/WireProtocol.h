@@ -36,6 +36,7 @@
 #include "support/Json.h"
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace opprox {
@@ -111,14 +112,10 @@ Expected<ServeRequest> parseServeRequest(const std::string &Line);
 /// Unrecognized messages map to errc::Internal.
 std::string requestErrorCode(const Error &E);
 
-/// The canonical result document for one served optimization -- the
-/// single source of truth shared by `opprox-optimize --json` and the
-/// server's success responses, which is what makes the two byte-
-/// identical for the same artifact and request (the equivalence suite
-/// cross-checks this over a real socket).
-Json optimizationResultJson(const OpproxArtifact &Artifact, double Budget,
-                            const std::vector<double> &Input,
-                            const OptimizationResult &Result);
+/// The canonical result document lives in core, next to
+/// OptimizationResult, so the planner can render the bytes it memoizes
+/// with each cache entry; the serving tier keeps the name.
+using opprox::optimizationResultJson;
 
 /// The process-wide schedule-cache counter rollup embedded in every
 /// `"stats": true` response (and usable standalone): {"cache": {"hits",
@@ -127,6 +124,12 @@ Json cacheStatsJson();
 
 /// Builds the success response envelope around a result document.
 std::string successResponseLine(const Json &Id, Json ResultDoc);
+
+/// The success response envelope around an already-serialized result
+/// document: byte-identical to successResponseLine(Id, Doc) when
+/// \p ResultBytes is Doc.dump(). Warm cache hits answer through this
+/// with the bytes memoized at insert, building no DOM.
+std::string splicedResponseLine(const Json &Id, std::string_view ResultBytes);
 
 /// Builds an error response line. \p Id may be null (unparsable
 /// requests have no id to echo).

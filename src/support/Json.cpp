@@ -9,10 +9,12 @@
 #include "support/StringUtils.h"
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string_view>
 
 using namespace opprox;
 
@@ -81,16 +83,19 @@ static void appendEscaped(std::string &Out, const std::string &S) {
 
 static void appendNumber(std::string &Out, double N) {
   assert(std::isfinite(N) && "JSON cannot represent NaN or infinity");
-  if (N == static_cast<double>(static_cast<long long>(N)) &&
-      std::fabs(N) < 1e15 && !(N == 0.0 && std::signbit(N))) {
+  char Buf[32];
+  std::to_chars_result R;
+  if (std::fabs(N) < 1e15 && N == std::trunc(N) &&
+      !(N == 0.0 && std::signbit(N)))
     // Integral values print without an exponent or trailing digits; this
     // covers counts, indices, and levels.
-    Out += format("%lld", static_cast<long long>(N));
-    return;
-  }
-  // 17 significant digits round-trip any finite double exactly through a
-  // correctly-rounded strtod.
-  Out += format("%.17g", N);
+    R = std::to_chars(Buf, Buf + sizeof(Buf), static_cast<long long>(N));
+  else
+    // The general format at precision 17 is printf's %.17g, and 17
+    // significant digits round-trip any finite double exactly.
+    R = std::to_chars(Buf, Buf + sizeof(Buf), N, std::chars_format::general,
+                      17);
+  Out.append(Buf, R.ptr);
 }
 
 void Json::dumpTo(std::string &Out, int Indent, int Depth) const {
@@ -249,10 +254,45 @@ private:
     return fail("invalid keyword");
   }
 
+  /// Scans one run of the characters [0-9] in the token \p T from \p I.
+  static size_t digitsAt(std::string_view T, size_t I) {
+    size_t Start = I;
+    while (I < T.size() && T[I] >= '0' && T[I] <= '9')
+      ++I;
+    return I - Start;
+  }
+
+  /// Whether a number token that from_chars found out of range is too
+  /// small rather than too large: its leading significant digit sits
+  /// below the units place. \p T matches the RFC 8259 grammar.
+  static bool underflows(std::string_view T) {
+    size_t I = T[0] == '-' ? 1 : 0;
+    size_t IntDigits = digitsAt(T, I);
+    // Decimal exponent of the leading significant digit.
+    long long Exponent = 0;
+    if (T[I] != '0') {
+      Exponent = static_cast<long long>(IntDigits) - 1;
+    } else if (I + 1 < T.size() && T[I + 1] == '.') {
+      size_t Zeros = 0;
+      while (I + 2 + Zeros < T.size() && T[I + 2 + Zeros] == '0')
+        ++Zeros;
+      Exponent = -static_cast<long long>(Zeros) - 1;
+    }
+    size_t E = T.find_first_of("eE");
+    if (E != std::string_view::npos) {
+      size_t Digits = E + 1 + (T[E + 1] == '+' || T[E + 1] == '-');
+      long long Explicit = 0;
+      // An exponent too long for long long is huge either way.
+      if (std::from_chars(T.data() + Digits, T.data() + T.size(), Explicit)
+              .ec != std::errc())
+        Explicit = std::numeric_limits<long long>::max() / 2;
+      Exponent += T[E + 1] == '-' ? -Explicit : Explicit;
+    }
+    return Exponent < 0;
+  }
+
   Expected<Json> parseNumber() {
     size_t Start = Pos;
-    if (consume('-'))
-      ;
     while (Pos < Text.size() &&
            (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
             Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||
@@ -260,13 +300,45 @@ private:
       ++Pos;
     if (Pos == Start)
       return fail("expected a value");
-    std::string Token = Text.substr(Start, Pos - Start);
-    char *End = nullptr;
-    double Value = std::strtod(Token.c_str(), &End);
-    if (End != Token.c_str() + Token.size() || !std::isfinite(Value)) {
+    std::string_view Token(Text.data() + Start, Pos - Start);
+    auto Invalid = [&] {
       Pos = Start;
-      return fail(format("invalid number '%s'", Token.c_str()));
+      return fail(format("invalid number '%.*s'",
+                         static_cast<int>(Token.size()), Token.data()));
+    };
+    // RFC 8259: -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
+    // A sign, a bare or trailing '.', and leading zeros are rejected.
+    size_t I = Token[0] == '-' ? 1 : 0;
+    size_t IntDigits = digitsAt(Token, I);
+    if (IntDigits == 0 || (Token[I] == '0' && IntDigits > 1))
+      return Invalid();
+    I += IntDigits;
+    if (I < Token.size() && Token[I] == '.') {
+      size_t FracDigits = digitsAt(Token, I + 1);
+      if (FracDigits == 0)
+        return Invalid();
+      I += 1 + FracDigits;
     }
+    if (I < Token.size() && (Token[I] == 'e' || Token[I] == 'E')) {
+      ++I;
+      if (I < Token.size() && (Token[I] == '+' || Token[I] == '-'))
+        ++I;
+      size_t ExpDigits = digitsAt(Token, I);
+      if (ExpDigits == 0)
+        return Invalid();
+      I += ExpDigits;
+    }
+    if (I != Token.size())
+      return Invalid();
+
+    double Value = 0.0;
+    std::from_chars_result R =
+        std::from_chars(Token.data(), Token.data() + Token.size(), Value);
+    if (R.ec == std::errc::result_out_of_range && underflows(Token))
+      // Too small for a double: reads as a signed zero, as strtod does.
+      Value = Token[0] == '-' ? -0.0 : 0.0;
+    else if (R.ec != std::errc() || R.ptr != Token.data() + Token.size())
+      return Invalid();
     return Json(Value);
   }
 

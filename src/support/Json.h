@@ -6,12 +6,15 @@
 ///
 /// \file
 /// A small JSON value type with a writer and an Expected<T>-based parser,
-/// used by the model-artifact layer to persist trained models. Two
+/// used by the model-artifact layer to persist trained models. Three
 /// properties matter more than generality:
 ///
-///  - **Exact double round-trip.** Numbers are emitted with %.17g, which
-///    shortest-path strtod parses back to the identical bit pattern, so a
+///  - **Exact double round-trip.** Numbers are emitted in printf's %.17g
+///    format (std::to_chars), which the parser's correctly rounded
+///    std::from_chars reads back to the identical bit pattern, so a
 ///    saved model predicts bit-identically to the in-memory one.
+///  - **Strict numbers.** The parser accepts only the RFC 8259 number
+///    grammar: no leading '+', no bare or trailing '.', no leading zeros.
 ///  - **Deterministic output.** Objects preserve insertion order, so the
 ///    same value always serializes to the same bytes (stable diffs,
 ///    cacheable artifacts).

@@ -10,6 +10,8 @@
 #include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
+#include <utility>
+#include <vector>
 
 using namespace opprox;
 
@@ -95,6 +97,47 @@ TEST(JsonTest, DoublesRoundTripBitExactly) {
     ASSERT_TRUE(Back) << Back.error().message();
     EXPECT_TRUE(sameBits(Back->at(0).asNumber(), D))
         << "double " << D << " did not round-trip bit-exactly";
+  }
+}
+
+TEST(JsonTest, NumbersFollowTheRfcGrammar) {
+  // RFC 8259: -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
+  for (const char *Text : {"+5", ".5", "5.", "01", "-01", "00", "-", "--1",
+                           "1.e5", "1e", "1e+", "1E-", ".", "-.5", "1.5.2",
+                           "1e5e5", "+0", "1e-+5"}) {
+    Expected<Json> J = Json::parse(std::string("[") + Text + "]");
+    ASSERT_FALSE(J) << Text << " parsed as " << J->dump();
+    EXPECT_NE(J.error().message().find("invalid number"), std::string::npos)
+        << Text << ": " << J.error().message();
+  }
+  const std::pair<const char *, double> Valid[] = {
+      {"0", 0.0},          {"-0", -0.0},      {"7", 7.0},
+      {"-12", -12.0},      {"0.5", 0.5},      {"-0.25", -0.25},
+      {"10.0", 10.0},      {"1e5", 1e5},      {"1E+5", 1e5},
+      {"2.5e-3", 2.5e-3},  {"0e7", 0.0},
+      {"123456789012345678", 1.2345678901234568e17}};
+  for (const auto &[Text, Value] : Valid) {
+    Expected<Json> J = Json::parse(Text);
+    ASSERT_TRUE(J) << Text << ": " << J.error().message();
+    EXPECT_TRUE(sameBits(J->asNumber(), Value)) << Text;
+  }
+}
+
+TEST(JsonTest, NumbersBeyondDoubleRange) {
+  // Too large is an error; too small reads as a signed zero.
+  EXPECT_FALSE(Json::parse("1e999"));
+  EXPECT_FALSE(Json::parse("-1e999"));
+  EXPECT_FALSE(Json::parse("0.00001e99999999999999999999"));
+  for (const auto &[Text, Value] :
+       std::vector<std::pair<const char *, double>>{
+           {"1e-400", 0.0},
+           {"-1e-400", -0.0},
+           {"0.0000001e-320", 0.0},
+           {"123e-99999999999999999999", 0.0},
+           {"5e-324", std::numeric_limits<double>::denorm_min()}}) {
+    Expected<Json> J = Json::parse(Text);
+    ASSERT_TRUE(J) << Text << ": " << J.error().message();
+    EXPECT_TRUE(sameBits(J->asNumber(), Value)) << Text;
   }
 }
 

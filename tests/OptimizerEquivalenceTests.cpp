@@ -18,12 +18,14 @@
 
 #include "CheapTraining.h"
 #include "apps/AppRegistry.h"
+#include "control/OnlineController.h"
 #include "core/OpproxRuntime.h"
 #include "core/OptimizePlanner.h"
 #include "core/Optimizer.h"
 #include "core/Sampler.h"
 #include "serve/Server.h"
 #include "serve/WireProtocol.h"
+#include "support/FaultInjection.h"
 #include "support/Json.h"
 #include "support/Simd.h"
 #include "support/Telemetry.h"
@@ -416,6 +418,10 @@ TEST(OptimizerParallelTest, SimdTierIsDecisionIrrelevant) {
 
 namespace {
 
+uint64_t counterValue(const char *Name) {
+  return MetricsRegistry::global().counter(Name).value();
+}
+
 /// Reads one newline-terminated response from \p Sock.
 std::optional<std::string> recvResponseLine(const Socket &Sock,
                                             LineFramer &Framer) {
@@ -493,6 +499,153 @@ TEST(OptimizerEquivalenceTest, ServerResponsesMatchLocalDocumentBitwise) {
   (*Srv)->shutdown();
 }
 
+TEST(OptimizerEquivalenceTest, ServerRawLinesMatchReferenceOnMissAndHit) {
+  // A warm hit answers with result bytes rendered once when its key was
+  // inserted, spliced into the envelope without a DOM. So compare whole
+  // raw response lines -- envelope, echoed id, result -- byte for byte
+  // with the reference builders, on the miss that inserts each key and
+  // on the hits that splice it.
+  auto App = createApp("pso");
+  OpproxArtifact Art =
+      OfflineTrainer::train(*App, cheapOptions("pso")).Artifact;
+  std::string Path = ::testing::TempDir() + "/raw-lines.opprox.json";
+  ASSERT_FALSE(Art.save(Path).has_value());
+  Expected<OpproxRuntime> Local = OpproxRuntime::load(Path);
+  ASSERT_TRUE(static_cast<bool>(Local)) << Local.error().message();
+  const std::vector<double> &Input = Local->artifact().DefaultInput;
+
+  serve::ServeOptions ServeOpts;
+  ServeOpts.Shards = 1;
+  ServeOpts.OnlineControl = true;
+  Expected<std::unique_ptr<serve::Server>> Srv =
+      serve::Server::start({{"", Path}}, ServeOpts);
+  ASSERT_TRUE(static_cast<bool>(Srv)) << Srv.error().message();
+  Expected<Socket> Sock = connectTcp("127.0.0.1", (*Srv)->port());
+  ASSERT_TRUE(static_cast<bool>(Sock)) << Sock.error().message();
+  ASSERT_FALSE(setRecvTimeoutMs(*Sock, 10000).has_value());
+  LineFramer Framer(1 << 20);
+  auto RoundTrip = [&](const std::string &Request) -> std::string {
+    if (sendAll(*Sock, Request + "\n").has_value())
+      return "<send failed>";
+    std::optional<std::string> Line = recvResponseLine(*Sock, Framer);
+    return Line ? *Line + "\n" : "<no response>";
+  };
+  auto Solve = [&](double Budget, bool Aggressive) {
+    OptimizeOptions Opts;
+    Opts.Conservative = !Aggressive;
+    Expected<OptimizationResult> R =
+        Local->tryOptimizeDetailed(Input, Budget, Opts);
+    EXPECT_TRUE(static_cast<bool>(R)) << R.error().message();
+    return R ? *R : OptimizationResult();
+  };
+  auto Reference = [&](const Json &Id, double Budget,
+                       const OptimizationResult &R) {
+    return serve::successResponseLine(
+        Id, optimizationResultJson(Local->artifact(), Budget, Input, R));
+  };
+  auto RequestLine = [](const std::string &IdMember, double Budget,
+                        bool Aggressive) {
+    return "{" + IdMember + "\"budget\": " + Json(Budget).dump() +
+           (Aggressive ? ", \"aggressive\": true" : "") + "}";
+  };
+
+  // Ids of every kind, each with the value the server must echo.
+  const std::vector<std::pair<std::string, Json>> Ids = {
+      {"\"id\": 7, ", Json(7)},
+      {"\"id\": 2.5, ", Json(2.5)},
+      {"\"id\": \"q\\\"uo\\\\te\\n\\t\\u0001\xc3\xa9\", ",
+       Json(std::string("q\"uo\\te\n\t\x01\xc3\xa9"))},
+      {"\"id\": null, ", Json()},
+      {"", Json()}};
+  // Integral, non-integral, inexact binary, and negative-zero budgets.
+  const std::vector<double> Budgets = {10.0, 2.5, 0.1, -0.0};
+  std::vector<std::vector<OptimizationResult>> Results;
+  for (double Budget : Budgets)
+    Results.push_back({Solve(Budget, false), Solve(Budget, true)});
+
+  uint64_t Hits = counterValue("cache.hits");
+  uint64_t Misses = counterValue("cache.misses");
+  for (const auto &[IdMember, Id] : Ids)
+    for (size_t B = 0; B < Budgets.size(); ++B)
+      for (bool Aggressive : {false, true}) {
+        std::string Request = RequestLine(IdMember, Budgets[B], Aggressive);
+        std::string Expected = Reference(Id, Budgets[B], Results[B][Aggressive]);
+        EXPECT_EQ(RoundTrip(Request), Expected) << "first send: " << Request;
+        EXPECT_EQ(RoundTrip(Request), Expected) << "repeat: " << Request;
+      }
+  // The id is not part of the key: each (budget, mode) missed once, and
+  // every other line was a hit answered with the memoized bytes.
+  const uint64_t Keys = Budgets.size() * 2;
+  EXPECT_EQ(counterValue("cache.misses") - Misses, Keys);
+  EXPECT_EQ(counterValue("cache.hits") - Hits, Ids.size() * Keys * 2 - Keys);
+
+  // A hot swap starts an empty cache: the same key misses, then hits,
+  // and both answers still match the reference.
+  ASSERT_EQ((*Srv)->hotSwap(), 1u);
+  Misses = counterValue("cache.misses");
+  for (bool Aggressive : {false, true}) {
+    std::string Request = RequestLine(Ids[0].first, Budgets[1], Aggressive);
+    std::string Expected = Reference(Ids[0].second, Budgets[1],
+                                     Results[1][Aggressive]);
+    EXPECT_EQ(RoundTrip(Request), Expected) << "after swap: " << Request;
+    EXPECT_EQ(RoundTrip(Request), Expected) << "after swap: " << Request;
+  }
+  EXPECT_EQ(counterValue("cache.misses") - Misses, 2u);
+
+  // A feedback request whose initial solve hits a key a plain request
+  // cached answers with the controller's corrected plan, not the memo.
+  std::string Plain = RoundTrip(RequestLine("", 10.0, false));
+  ASSERT_EQ(Plain, Reference(Json(), 10.0, Results[0][false]));
+  control::ControllerOptions CtrlOpts;
+  Expected<control::OnlineController> Ctrl =
+      control::OnlineController::start(*Local, Input, 10.0, CtrlOpts);
+  ASSERT_TRUE(static_cast<bool>(Ctrl)) << Ctrl.error().message();
+  control::PhaseObservation Overrun;
+  Overrun.ObservedQos = 10.0;
+  Ctrl->onPhaseComplete(Overrun);
+  std::string PlanDoc =
+      optimizationResultJson(Local->artifact(), 10.0, Input, Ctrl->plan())
+          .dump();
+  ASSERT_NE(PlanDoc, optimizationResultJson(Local->artifact(), 10.0, Input,
+                                            Results[0][false])
+                         .dump())
+      << "the overrun must change the plan, or this check proves nothing";
+  Expected<Json> Fed = Json::parse(
+      RoundTrip("{\"budget\": 10, \"feedback\": [10.0]}"));
+  ASSERT_TRUE(static_cast<bool>(Fed));
+  Expected<const Json *> FedResult = getObject(*Fed, "result");
+  ASSERT_TRUE(static_cast<bool>(FedResult));
+  Json WithoutControl = Json::object();
+  for (const auto &[Key, Value] : (*FedResult)->members())
+    if (Key != "control")
+      WithoutControl.set(Key, Value);
+  EXPECT_EQ(WithoutControl.dump(), PlanDoc);
+
+  // A fault-degraded solve answers with its own bytes and is never
+  // memoized: the repeat is no hit, and once the fault clears the same
+  // key answers with the healthy schedule.
+  {
+    struct DisarmOnExit {
+      ~DisarmOnExit() { FaultRegistry::global().clear(); }
+    } Disarm;
+    ASSERT_FALSE(FaultRegistry::global()
+                     .configure(std::string(faults::PredictNan) + ":1.0:42")
+                     .has_value());
+    OptimizationResult Degraded = Solve(12.5, false);
+    ASSERT_FALSE(Degraded.DegradedPhases.empty());
+    std::string Expected = Reference(Json(3), 12.5, Degraded);
+    Hits = counterValue("cache.hits");
+    EXPECT_EQ(RoundTrip(RequestLine("\"id\": 3, ", 12.5, false)), Expected);
+    EXPECT_EQ(RoundTrip(RequestLine("\"id\": 3, ", 12.5, false)), Expected);
+    EXPECT_EQ(counterValue("cache.hits"), Hits);
+  }
+  OptimizationResult Healthy = Solve(12.5, false);
+  ASSERT_TRUE(Healthy.DegradedPhases.empty());
+  EXPECT_EQ(RoundTrip(RequestLine("\"id\": 3, ", 12.5, false)),
+            Reference(Json(3), 12.5, Healthy));
+  (*Srv)->shutdown();
+}
+
 //===----------------------------------------------------------------------===//
 // Layered pipeline: cache hits vs the compute path
 //===----------------------------------------------------------------------===//
@@ -518,10 +671,6 @@ std::string resultDoc(const OpproxArtifact &Art, double Budget,
                       const std::vector<double> &Input,
                       const OptimizationResult &R) {
   return serve::optimizationResultJson(Art, Budget, Input, R).dump();
-}
-
-uint64_t counterValue(const char *Name) {
-  return MetricsRegistry::global().counter(Name).value();
 }
 
 } // namespace
@@ -702,13 +851,16 @@ TEST(ScheduleCacheConcurrencyTest, HammerLookupOrComputeStaysBitIdentical) {
       for (size_t I = 0; I < Iterations; ++I) {
         size_t Pick = (T * 7 + I) % Budgets.size();
         OptimizeOptions Opts;
+        PlannerStageBreakdown Stages;
         Expected<OptimizationResult> R =
-            Planner.optimize(Art, Input, Budgets[Pick], Opts);
+            Planner.optimize(Art, Input, Budgets[Pick], Opts, &Stages);
         if (!R) {
           Failures.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        if (resultDoc(Art, Budgets[Pick], Input, *R) != RefDocs[Pick])
+        // The decisions and the memoized response bytes both match.
+        if (resultDoc(Art, Budgets[Pick], Input, *R) != RefDocs[Pick] ||
+            !Stages.Document || *Stages.Document != RefDocs[Pick])
           Mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -722,6 +874,44 @@ TEST(ScheduleCacheConcurrencyTest, HammerLookupOrComputeStaysBitIdentical) {
   // wave of misses must have been served from the cache.
   EXPECT_GT(counterValue("cache.hits"),
             NumThreads * Iterations / 2);
+}
+
+TEST(ScheduleCacheConcurrencyTest, ConcurrentHitsOnOneKeyReturnIdenticalBytes) {
+  // Every thread asks for the same key from a cold start: the racing
+  // misses may each insert, and every later call is a hit sharing one
+  // entry. All of them must hand back the reference document's bytes.
+  const std::vector<double> Input = {3.0};
+  const double Budget = 0.35;
+  OpproxArtifact Art = makeArtifact(modelB());
+  const std::string Ref = resultDoc(
+      Art, Budget, Input,
+      optimizeSchedule(Art.Model, Input, Art.MaxLevels, Budget, {}));
+
+  PlannerOptions POpts;
+  POpts.Cache.Shards = 4;
+  OptimizePlanner Planner(POpts);
+  uint64_t Hits = counterValue("cache.hits");
+
+  constexpr size_t NumThreads = 8;
+  constexpr size_t Iterations = 200;
+  std::atomic<size_t> Mismatches{0};
+  std::vector<std::thread> Workers;
+  for (size_t T = 0; T < NumThreads; ++T)
+    Workers.emplace_back([&] {
+      for (size_t I = 0; I < Iterations; ++I) {
+        PlannerStageBreakdown Stages;
+        Expected<OptimizationResult> R =
+            Planner.optimize(Art, Input, Budget, OptimizeOptions(), &Stages);
+        if (!R || !Stages.Document || *Stages.Document != Ref)
+          Mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+
+  EXPECT_EQ(Mismatches.load(), 0u);
+  EXPECT_GE(counterValue("cache.hits") - Hits,
+            NumThreads * Iterations - NumThreads);
 }
 
 TEST(ScheduleCacheConcurrencyTest, EvictionUnderContentionStaysBitIdentical) {
@@ -761,13 +951,15 @@ TEST(ScheduleCacheConcurrencyTest, EvictionUnderContentionStaysBitIdentical) {
       for (size_t I = 0; I < Iterations; ++I) {
         size_t Pick = (T * 5 + I) % Budgets.size();
         OptimizeOptions Opts;
+        PlannerStageBreakdown Stages;
         Expected<OptimizationResult> R =
-            Planner.optimize(Art, Input, Budgets[Pick], Opts);
+            Planner.optimize(Art, Input, Budgets[Pick], Opts, &Stages);
         if (!R) {
           Failures.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        if (resultDoc(Art, Budgets[Pick], Input, *R) != RefDocs[Pick])
+        if (resultDoc(Art, Budgets[Pick], Input, *R) != RefDocs[Pick] ||
+            !Stages.Document || *Stages.Document != RefDocs[Pick])
           Mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     });

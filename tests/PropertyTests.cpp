@@ -22,8 +22,10 @@
 #include "support/Random.h"
 #include "support/Statistics.h"
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <limits>
 #include <numeric>
 
 using namespace opprox;
@@ -299,6 +301,82 @@ TEST(ArtifactRoundTripProperty, SerializationIsBitExactAcross200Seeds) {
                 0)
           << "seed " << Seed << " input " << I;
   }
+}
+
+namespace {
+
+/// The number format the JSON writer promises, spelled with printf: an
+/// integral value below 1e15 (other than -0) as %lld, anything else as
+/// %.17g. Test-only oracle for the writer's to_chars implementation.
+std::string printfNumber(double D) {
+  char Buf[64];
+  if (std::fabs(D) < 1e15 && D == std::trunc(D) &&
+      !(D == 0.0 && std::signbit(D)))
+    std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(D));
+  else
+    std::snprintf(Buf, sizeof(Buf), "%.17g", D);
+  return Buf;
+}
+
+} // namespace
+
+TEST(NumberWriterProperty, MatchesPrintfAndRoundTripsAcrossSeededDoubles) {
+  std::vector<double> Values = {0.0,
+                                -0.0,
+                                0.5,
+                                -0.5,
+                                0.1,
+                                1.0 / 3.0,
+                                M_PI,
+                                1e-7,
+                                1e-308,
+                                1e308,
+                                1e15,
+                                1e15 - 1,
+                                -1e15,
+                                -(1e15 - 1),
+                                1e15 + 2,
+                                999999999999999.5,
+                                9007199254740992.0,
+                                9223372036854775808.0,
+                                -9223372036854775808.0,
+                                1e16,
+                                1e17,
+                                1e21,
+                                1e22,
+                                123456789012345678.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::epsilon()};
+  Rng R(0x2C4A125u);
+  for (size_t I = 0; I < 200000; ++I)
+    Values.push_back(finiteFromBits(R));
+  for (size_t I = 0; I < 20000; ++I) {
+    double U = R.uniform(-1e6, 1e6);
+    Values.push_back(U);
+    Values.push_back(std::round(U * 100.0) / 100.0);
+    Values.push_back(static_cast<double>(R.range(-1000000000000000ll,
+                                                 1000000000000000ll)));
+    Values.push_back(R.uniform() * 1e-300);
+  }
+
+  size_t Mismatches = 0;
+  for (double D : Values) {
+    std::string Dumped = Json(D).dump();
+    if (Dumped != printfNumber(D) && ++Mismatches <= 10)
+      ADD_FAILURE() << "writer printed '" << Dumped << "' where printf "
+                    << "prints '" << printfNumber(D) << "'";
+    // And the parser reads every written number back bit-exactly.
+    Expected<Json> Back = Json::parse(Dumped);
+    ASSERT_TRUE(static_cast<bool>(Back)) << Dumped;
+    double Read = Back->asNumber();
+    if (std::memcmp(&Read, &D, sizeof(D)) != 0 && ++Mismatches <= 10)
+      ADD_FAILURE() << "'" << Dumped << "' did not read back bit-exactly";
+  }
+  EXPECT_EQ(Mismatches, 0u) << "over " << Values.size() << " doubles";
 }
 
 TEST(ScheduleRoundTripProperty, JsonIsLosslessAcross200Seeds) {

@@ -395,6 +395,23 @@ TEST_F(ServingTest, ServesRequestsAndReportsErrorsInOrder) {
   Srv->shutdown();
 }
 
+TEST_F(ServingTest, NumbersOutsideTheRfcGrammarAreParseErrors) {
+  // SERVING.md promises parse_error for a line that is not valid JSON;
+  // these budgets used to be served as 5, 0.5, 5 and 1.
+  ServeOptions Opts;
+  Opts.Shards = 1;
+  std::unique_ptr<Server> Srv = startTestServer(Opts);
+  ASSERT_NE(Srv, nullptr);
+  TestClient C = TestClient::connectTo(Srv->port());
+  for (const char *Budget : {"+5", ".5", "5.", "01"}) {
+    Json Response =
+        C.roundTrip(std::string("{\"budget\": ") + Budget + "}");
+    EXPECT_FALSE(responseOk(Response)) << Budget;
+    EXPECT_EQ(responseErrorCode(Response), "parse_error") << Budget;
+  }
+  EXPECT_TRUE(responseOk(C.roundTrip("{\"budget\": 5}")));
+}
+
 TEST_F(ServingTest, MultipleResidentArtifactsAreAddressedByName) {
   ServeOptions Opts;
   Opts.Shards = 1;
